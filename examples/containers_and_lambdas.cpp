@@ -45,7 +45,9 @@ int main()
 
     /* ---- Figure 6: zero-copy for_each + reduce ---- */
     {
-        std::vector<int> arr( 100'000 );
+        /** 50'000 keeps the int sum below INT_MAX (signed overflow is
+         *  undefined, and the UBSan build halts on it) **/
+        std::vector<int> arr( 50'000 );
         std::iota( arr.begin(), arr.end(), 0 );
         int val = 0;
         raft::map map;

@@ -14,10 +14,14 @@
  *
  * Sleep sets (see mc.hpp header) prune commuting interleavings. Blocked
  * threads (retry_guard) are enabled only after another party commits a
- * store, tracked with per-thread commit counters — a thread's own commits
- * never wake it, which is what makes `while( !try_x() ) wait();` loops
- * explorable without livelock. A state where every unfinished thread is
- * un-wakeable is reported as a deadlock with the full trace.
+ * store to an object the thread read during its failed attempt, tracked
+ * with a per-execution commit log and per-thread read logs — a thread's
+ * own commits never wake it, which is what makes `while( !try_x() )
+ * wait();` loops explorable without livelock, and commits it never read
+ * cannot change its next attempt, which keeps a spinning end from
+ * re-running its attempt after every unrelated step. A state where every
+ * unfinished thread is un-wakeable is reported as a deadlock with the full
+ * trace.
  */
 #include "analysis/mc/mc.hpp"
 
@@ -66,6 +70,8 @@ const char *op_name( const op k )
             return "flush";
         case op::block:
             return "block";
+        case op::fence:
+            return "fence";
     }
     return "?";
 }
@@ -90,47 +96,11 @@ const char *order_name( const int o )
     return "?";
 }
 
-bool is_effect( const action &a )
-{
-    return a.kind == op::store || a.kind == op::rmw || a.kind == op::flush;
-}
-
 /** Thread that owns an action's effects: flush(t) commits thread t's
  *  stores. */
 int owner_of( const action &a )
 {
     return a.actor >= max_threads ? a.actor - max_threads : a.actor;
-}
-
-/**
- * Conservative dependence relation for the sleep sets. Two actions are
- * independent only when they commute AND neither enables/disables the
- * other; everything uncertain is declared a conflict (less pruning, still
- * sound).
- */
-bool conflict( const action &a, const action &b )
-{
-    if( owner_of( a ) == owner_of( b ) )
-    {
-        /** same thread: program order; also a thread's store enables its
-         *  own flush action */
-        return true;
-    }
-    if( a.kind == op::block )
-    {
-        /** a commit by anyone may wake a blocked thread */
-        return is_effect( b );
-    }
-    if( b.kind == op::block )
-    {
-        return is_effect( a );
-    }
-    if( a.obj != nullptr && a.obj == b.obj &&
-        ( is_effect( a ) || is_effect( b ) ) )
-    {
-        return true;
-    }
-    return false;
 }
 
 class engine final : public detail::engine_iface
@@ -235,6 +205,13 @@ public:
         }
         granted_                                = -1;
         state_[ static_cast<std::size_t>( t ) ] = ws::running;
+        if( a.kind == op::load || a.kind == op::rmw )
+        {
+            /** the value this access observes includes exactly the
+             *  commits logged so far */
+            reads_[ static_cast<std::size_t>( t ) ].push_back(
+                read_entry{ commit_log_.size(), a.obj } );
+        }
         /** effect runs in the caller after return — exclusive, since the
          *  control thread waits for this worker to park again */
     }
@@ -274,31 +251,30 @@ public:
             /** buffer full: the oldest store drains to memory as part of
              *  this step (TSO buffers are finite) */
             oldest.commit();
-            note_commit( static_cast<int>( t ) );
+            note_commit( static_cast<int>( t ), oldest.obj );
         }
     }
 
-    void flush_own() override
+    void flush_own() override { drain( tls_tid ); }
+
+    void flush_all() override
     {
-        const auto t = static_cast<std::size_t>( tls_tid );
-        std::vector<buf_entry> entries;
+        for( int t = 0; t < nthreads_; ++t )
         {
-            std::lock_guard<std::mutex> lk( m_ );
-            entries.swap( buffers_[ t ] );
-        }
-        for( auto &e : entries )
-        {
-            e.commit();
-            note_commit( static_cast<int>( t ) );
+            drain( t );
         }
     }
 
-    void bump_commit() override { note_commit( tls_tid ); }
+    void bump_commit() override
+    {
+        note_commit( tls_tid,
+                     pending_[ static_cast<std::size_t>( tls_tid ) ].obj );
+    }
 
-    std::uint64_t commits_by_others( const int t ) const override
+    std::uint64_t commit_mark() const override
     {
         std::lock_guard<std::mutex> lk( m_ );
-        return total_commits_ - commits_by_[ static_cast<std::size_t>( t ) ];
+        return commit_log_.size();
     }
 
     [[noreturn]] void fail( const std::string &msg ) override
@@ -317,6 +293,139 @@ public:
     ///@}
 
 private:
+    /** Objects whose memory value action a commits if executed now: a
+     *  flush commits its thread's oldest buffered store; a buffered store
+     *  commits nothing unless the buffer is full (then the oldest entry);
+     *  a seq_cst store or an RMW drains its thread's buffer and then
+     *  commits its own object; a heavy barrier drains every buffer.
+     *  Caller holds m_. */
+    std::vector<const void *> commits( const action &a ) const
+    {
+        std::vector<const void *> out;
+        const auto &buf =
+            buffers_[ static_cast<std::size_t>( owner_of( a ) ) ];
+        switch( a.kind )
+        {
+            case op::flush:
+                out.push_back( a.obj );
+                break;
+            case op::store:
+                if( buffering() &&
+                    a.order != static_cast<int>( std::memory_order_seq_cst ) )
+                {
+                    if( buf.size() >=
+                        static_cast<std::size_t>( opt_.store_buffer ) )
+                    {
+                        out.push_back( buf.front().obj );
+                    }
+                    break;
+                }
+                [[fallthrough]];
+            case op::rmw:
+                for( const auto &e : buf )
+                {
+                    out.push_back( e.obj );
+                }
+                out.push_back( a.obj );
+                break;
+            case op::fence:
+                for( const auto &tb : buffers_ )
+                {
+                    for( const auto &e : tb )
+                    {
+                        out.push_back( e.obj );
+                    }
+                }
+                break;
+            case op::load:
+            case op::block:
+                break;
+        }
+        return out;
+    }
+
+    /**
+     * Dependence relation for the sleep sets, judged at the current state
+     * (buffer contents decide what a store or a barrier commits). Two
+     * actions are independent only when they commute AND neither
+     * enables/disables the other; everything uncertain is declared a
+     * conflict (less pruning, still sound). A store that only enters its
+     * thread's buffer is invisible to other threads, so it commutes with
+     * their accesses to the same object — its flush is what conflicts.
+     * Caller holds m_.
+     */
+    bool conflict( const action &a, const action &b ) const
+    {
+        if( owner_of( a ) == owner_of( b ) )
+        {
+            /** same thread: program order; also a thread's store enables
+             *  its own flush action. The exception: a thread's flush
+             *  commutes with that thread's loads — a load forwards the
+             *  newest buffered value, and committing the oldest entry
+             *  leaves memory holding what the load would have forwarded */
+            return !( ( a.kind == op::flush && b.kind == op::load ) ||
+                      ( a.kind == op::load && b.kind == op::flush ) );
+        }
+        if( a.kind == op::fence || b.kind == op::fence )
+        {
+            /** a heavy barrier may wake anyone and changes what a later
+             *  store or flush does: it commutes only with another
+             *  thread's load of an object no third thread has buffered
+             *  (a load forwards from its own buffer) */
+            const auto &other = a.kind == op::fence ? b : a;
+            if( other.kind != op::load )
+            {
+                return true;
+            }
+            const auto u = static_cast<std::size_t>( owner_of( other ) );
+            for( std::size_t w = 0; w < buffers_.size(); ++w )
+            {
+                for( const auto &e : buffers_[ w ] )
+                {
+                    if( w != u && e.obj == other.obj )
+                    {
+                        return true;
+                    }
+                }
+            }
+            return false;
+        }
+        const auto ca = commits( a );
+        const auto cb = commits( b );
+        if( a.kind == op::block || b.kind == op::block )
+        {
+            /** a commit wakes a blocked thread only if it touches an
+             *  object the thread read in its failed attempt */
+            const auto &blk   = a.kind == op::block ? a : b;
+            const auto &other = a.kind == op::block ? cb : ca;
+            return std::any_of( other.begin(), other.end(),
+                                [ & ]( const void *o )
+                                { return watched( blk, o ); } );
+        }
+        const auto touches = []( const action &x,
+                                 const std::vector<const void *> &cx,
+                                 const void *obj )
+        {
+            return x.obj == obj ||
+                   std::find( cx.begin(), cx.end(), obj ) != cx.end();
+        };
+        for( const void *o : ca )
+        {
+            if( touches( b, cb, o ) )
+            {
+                return true;
+            }
+        }
+        for( const void *o : cb )
+        {
+            if( touches( a, ca, o ) )
+            {
+                return true;
+            }
+        }
+        return false;
+    }
+
     enum class ws : std::uint8_t
     {
         idle,
@@ -375,11 +484,66 @@ private:
         }
     }
 
-    void note_commit( const int t )
+    /** Commit every buffered store of thread t, oldest first. Called by
+     *  the worker that owns the current step. */
+    void drain( const int t )
+    {
+        std::vector<buf_entry> entries;
+        {
+            std::lock_guard<std::mutex> lk( m_ );
+            entries.swap( buffers_[ static_cast<std::size_t>( t ) ] );
+        }
+        for( auto &e : entries )
+        {
+            e.commit();
+            note_commit( t, e.obj );
+        }
+    }
+
+    void note_commit( const int t, const void *obj )
     {
         std::lock_guard<std::mutex> lk( m_ );
-        ++total_commits_;
-        ++commits_by_[ static_cast<std::size_t>( t ) ];
+        commit_log_.push_back( commit_entry{ obj, t } );
+    }
+
+    /** True when blocked action blk's thread read obj after its
+     *  retry_guard mark. Caller holds m_. */
+    bool watched( const action &blk, const void *obj ) const
+    {
+        const auto t = static_cast<std::size_t>( blk.actor );
+        return std::any_of(
+            reads_[ t ].begin(), reads_[ t ].end(),
+            [ & ]( const read_entry &r )
+            {
+                return r.at >= static_cast<std::uint64_t>( blk.value ) &&
+                       r.obj == obj;
+            } );
+    }
+
+    /** A blocked thread may run again once another thread committed a
+     *  store to an object the thread read after its retry_guard mark, and
+     *  committed it after that read. Caller holds m_. */
+    bool wakeable( const std::size_t t ) const
+    {
+        const auto mark = blocked_seq_[ t ];
+        for( auto c = static_cast<std::size_t>( mark );
+             c < commit_log_.size(); ++c )
+        {
+            const auto &e = commit_log_[ c ];
+            if( static_cast<std::size_t>( e.by ) == t )
+            {
+                continue;
+            }
+            for( const auto &r : reads_[ t ] )
+            {
+                /** a commit the read already observed changes nothing */
+                if( r.at >= mark && c >= r.at && r.obj == e.obj )
+                {
+                    return true;
+                }
+            }
+        }
+        return false;
     }
 
     bool quiescent() const
@@ -470,8 +634,11 @@ private:
             had_violation_ = false;
             granted_       = -1;
             log_.clear();
-            total_commits_ = 0;
-            commits_by_.fill( 0 );
+            commit_log_.clear();
+            for( auto &r : reads_ )
+            {
+                r.clear();
+            }
             for( auto &b : buffers_ )
             {
                 b.clear();
@@ -514,9 +681,7 @@ private:
                 {
                     enabled.push_back( pending_[ ti ] );
                 }
-                else if( state_[ ti ] == ws::blocked &&
-                         total_commits_ - commits_by_[ ti ] >
-                             blocked_seq_[ ti ] )
+                else if( state_[ ti ] == ws::blocked && wakeable( ti ) )
                 {
                     enabled.push_back( pending_[ ti ] );
                 }
@@ -637,8 +802,8 @@ private:
                 auto e = std::move( buffers_[ ti ].front() );
                 buffers_[ ti ].erase( buffers_[ ti ].begin() );
                 e.commit();
-                ++total_commits_;
-                ++commits_by_[ ti ];
+                commit_log_.push_back(
+                    commit_entry{ e.obj, static_cast<int>( ti ) } );
             }
             else
             {
@@ -701,8 +866,18 @@ private:
     std::uint64_t exec_gen_{ 0 };
 
     std::array<std::vector<buf_entry>, max_threads> buffers_{};
-    std::uint64_t total_commits_{ 0 };
-    std::array<std::uint64_t, max_threads> commits_by_{};
+    struct commit_entry
+    {
+        const void *obj{ nullptr };
+        int by{ 0 };
+    };
+    struct read_entry
+    {
+        std::uint64_t at{ 0 }; /**< commit_log_ size when read */
+        const void *obj{ nullptr };
+    };
+    std::vector<commit_entry> commit_log_;
+    std::array<std::vector<read_entry>, max_threads> reads_{};
 
     std::vector<action> log_;
     std::vector<node> nodes_;

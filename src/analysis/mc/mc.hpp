@@ -13,9 +13,13 @@
  * Pruning is sleep sets — the DPOR-lite half of Flanagan/Godefroid's
  * partial-order reduction: after a branch at a state is fully explored, the
  * explored action is put to sleep for the sibling branches and only woken
- * by a conflicting action (same object with a write, same thread, or a
- * commit that could unblock a waiter), so commuting schedules are walked
- * once. Sound for safety properties; no violation is missed.
+ * by a conflicting action, so commuting schedules are walked once.
+ * Conflicts are judged at the state where the two actions meet: same
+ * thread (except a thread's flush against its own loads), or one commits
+ * a value to an object the other touches, or it commits to an object a
+ * blocked thread is waiting on. A store that only enters its thread's
+ * buffer commits nothing — its flush does. Sound for safety properties;
+ * no violation is missed.
  *
  * Weak memory is simulated with bounded store buffers (options.store_buffer
  * entries per thread, TSO-style): relaxed/release stores enter the owning
@@ -25,7 +29,9 @@
  * exactly the store→load reordering x86 exhibits — strong enough to prove
  * a Dekker handshake needs its seq_cst fence and to catch the variant that
  * drops it, while staying a sound subset of the C++ memory model's
- * behaviours.
+ * behaviours. The two halves of an asymmetric handshake are modelled too:
+ * light_barrier() (a compiler-only fence) orders nothing this model can
+ * reorder, and heavy_barrier() (membarrier) drains every thread's buffer.
  *
  * Checked properties: mc::check() assertions inside protocol code, a
  * per-execution verify() over final state, deadlock (every unfinished
@@ -53,7 +59,8 @@ enum class op : std::uint8_t
     store,
     rmw,
     flush, /**< commit the oldest buffered store of one thread */
-    block  /**< thread waits for a commit by another thread */
+    block, /**< thread waits for a commit by another thread */
+    fence  /**< heavy barrier: commit every thread's buffered stores */
 };
 
 /** One scheduling decision candidate / executed step. `actor` is a thread
@@ -97,11 +104,13 @@ struct engine_iface
                                long long traced ) = 0;
     /** Commit every buffered store of the calling thread, oldest first. */
     virtual void flush_own() = 0;
+    /** Commit every thread's buffered stores (heavy barrier). */
+    virtual void flush_all() = 0;
     /** A memory mutation became visible (direct store / RMW). */
     virtual void bump_commit() = 0;
     ///@}
-    /** Commits made by threads other than t (blocked-thread wakeups). */
-    virtual std::uint64_t commits_by_others( int t ) const = 0;
+    /** Position in the execution's commit log (blocked-thread wakeups). */
+    virtual std::uint64_t commit_mark() const = 0;
     /** Record a violation and unwind the execution (throws). */
     [[noreturn]] virtual void fail( const std::string &msg ) = 0;
     virtual int tid() const = 0;
@@ -254,19 +263,21 @@ private:
 
 /**
  * Retry loop helper: `mc::retry_guard g; while( !try_op() ) g.wait();`.
- * wait() parks the thread until some *other* thread commits a store — a
- * failed attempt can only start succeeding after the shared state changes.
- * The snapshot is taken before each attempt, so a commit racing the attempt
- * wakes the thread again (spurious wakeups are safe; missed wakeups are
- * not). The explorer flags deadlock when every unfinished thread is parked
- * here with no commit pending anywhere.
+ * wait() parks the thread until some *other* thread commits a store to an
+ * mc::atomic the thread loaded since the snapshot — a failed attempt is a
+ * function of the values it read, so it can only start succeeding after
+ * one of them changes. (Retry conditions must therefore depend on mc
+ * atomics, not on plain fields.) The snapshot is taken before each attempt,
+ * so a commit racing the attempt wakes the thread again (spurious wakeups
+ * are safe; missed wakeups are not). The explorer flags deadlock when every
+ * unfinished thread is parked here with no such commit pending anywhere.
  */
 class retry_guard
 {
 public:
     retry_guard()
         : t_( detail::g->tid() ),
-          seq_( detail::g->commits_by_others( t_ ) )
+          seq_( detail::g->commit_mark() )
     {
     }
 
@@ -274,13 +285,44 @@ public:
     {
         detail::g->arrive( action{ t_, op::block, nullptr, "blocked", 0,
                                    static_cast<long long>( seq_ ) } );
-        seq_ = detail::g->commits_by_others( t_ );
+        seq_ = detail::g->commit_mark();
     }
 
 private:
     int t_;
     std::uint64_t seq_;
 };
+
+/**
+ * The heavy half of an asymmetric barrier pair (Linux membarrier, see
+ * raft::detail::heavy_barrier): every thread executes a full fence, so
+ * every store buffered anywhere becomes visible before the caller's next
+ * operation. The buffers drain in thread order; if two threads had
+ * buffered stores to one object at the barrier, the other commit orders
+ * would go unexplored (the ring model never does). Under store buffering
+ * it is a scheduling point; under sequential consistency it has no effect
+ * and is not one.
+ */
+inline void heavy_barrier()
+{
+    auto *e = detail::g;
+    if( !e->buffering() )
+    {
+        return; /** sequential consistency: nothing to drain **/
+    }
+    e->arrive( action{ e->tid(), op::fence, nullptr, "heavy_barrier",
+                       static_cast<int>( std::memory_order_seq_cst ), 0 } );
+    e->flush_all();
+}
+
+/**
+ * The light half: std::atomic_signal_fence(seq_cst), a compiler-only fence
+ * that keeps a store before a later load in the emitted code. The model
+ * already executes each thread in program order and reorders only through
+ * store buffers, which a compiler fence does not drain — so it is a no-op
+ * here, kept so model code reads like the code it mirrors.
+ */
+inline void light_barrier() noexcept {}
 
 /** Protocol assertion: on failure records a violation (with the decision
  *  trace) and unwinds the execution. */

@@ -9,11 +9,15 @@
  *   - shadow-index caching: each end keeps a plain cached copy of the
  *     opposite counter and re-reads the real one only when the cache
  *     implies full/empty;
- *   - the Dekker resize handshake: an end announces itself with a seq_cst
- *     store to prod_op_/cons_op_ and then seq_cst-loads gate_; the monitor
- *     seq_cst-stores gate_ and waits for both op flags to clear. Elements
- *     are relocated unwrapped to index 0, the shadow caches are re-seeded
- *     while the ends are parked, and gate_ is released;
+ *   - the asymmetric Dekker resize handshake: an end announces itself with
+ *     a relaxed store to prod_op_/cons_op_, a light (compiler-only)
+ *     barrier, and an acquire load of gate_; the monitor stores gate_,
+ *     issues a heavy barrier (membarrier: every thread's store buffer
+ *     drains) and waits for both op flags to clear. Elements are relocated
+ *     unwrapped to index 0, the shadow caches are re-seeded while the ends
+ *     are parked, and gate_ is released. ring_opts::symmetric selects the
+ *     platform fallback instead: seq_cst store/load on the ends, a seq_cst
+ *     gate store on the monitor;
  *   - abort() poisons the stream; the flag is checked only on blocked
  *     paths, and *before* the drained (write_closed + empty) check, so a
  *     cancelled graph can never be mistaken for a cleanly drained one.
@@ -23,15 +27,20 @@
  * model monitor parks on a retry_guard instead of a bounded spin — the
  * checker's deadlock detector replaces the timeout).
  *
- * Two knobs re-introduce real bugs for the checker to catch:
+ * Three knobs re-introduce real bugs for the checker to catch:
  *
- *   broken_dekker      — the handshake's seq_cst store/load pair weakens
- *                        to release/acquire. Under bounded store
+ *   broken_dekker      — the symmetric fallback's seq_cst store/load pair
+ *                        weakens to release/acquire. Under bounded store
  *                        reordering (options.store_buffer >= 1) the end's
  *                        announcement can sit in its store buffer while it
  *                        reads gate_ == false, so end and monitor enter
  *                        the critical section together and elements are
  *                        lost or duplicated during relocation.
+ *   no_heavy_barrier   — the asymmetric handshake without the monitor's
+ *                        heavy barrier (its gate store stays seq_cst).
+ *                        The monitor's own fence cannot drain the end's
+ *                        buffer, so the same corrupting interleaving
+ *                        appears.
  *   broken_abort_order — try_pop checks drained before aborted. An
  *                        execution where abort() lands before close_write()
  *                        can then return EOS to a consumer that should
@@ -49,8 +58,10 @@ namespace mc {
 
 struct ring_opts
 {
-    bool broken_dekker{ false };
+    bool broken_dekker{ false };      /**< implies the symmetric handshake */
     bool broken_abort_order{ false };
+    bool no_heavy_barrier{ false };
+    bool symmetric{ false }; /**< fallback when membarrier is missing */
 };
 
 class model_ring
@@ -238,7 +249,15 @@ public:
     ///@{
     bool try_resize( const unsigned new_cap )
     {
-        gate_.store( true, std::memory_order_seq_cst );
+        if( symmetric() || o_.no_heavy_barrier )
+        {
+            gate_.store( true, std::memory_order_seq_cst );
+        }
+        else
+        {
+            gate_.store( true, std::memory_order_relaxed );
+            mc::heavy_barrier();
+        }
         {
             retry_guard g;
             while( prod_op_.load( std::memory_order_seq_cst ) ||
@@ -335,55 +354,45 @@ private:
         return t;
     }
 
-    /** @name Dekker handshake (mirrors enter_prod/exit_prod) */
+    /** @name Dekker handshake (mirrors ring_buffer::enter/leave) */
     ///@{
-    void enter_prod()
+    bool symmetric() const { return o_.symmetric || o_.broken_dekker; }
+
+    void enter( mc::atomic<bool> &op )
     {
-        const auto so = o_.broken_dekker ? std::memory_order_release
-                                         : std::memory_order_seq_cst;
-        const auto lo = o_.broken_dekker ? std::memory_order_acquire
-                                         : std::memory_order_seq_cst;
         retry_guard g;
         for( ;; )
         {
-            prod_op_.store( true, so );
-            if( !gate_.load( lo ) )
+            bool gated = false;
+            if( !symmetric() )
+            {
+                op.store( true, std::memory_order_relaxed );
+                mc::light_barrier();
+                gated = gate_.load( std::memory_order_acquire );
+            }
+            else if( o_.broken_dekker )
+            {
+                op.store( true, std::memory_order_release );
+                gated = gate_.load( std::memory_order_acquire );
+            }
+            else
+            {
+                op.store( true, std::memory_order_seq_cst );
+                gated = gate_.load( std::memory_order_seq_cst );
+            }
+            if( !gated )
             {
                 return;
             }
-            prod_op_.store( false, std::memory_order_release );
+            op.store( false, std::memory_order_release );
             g.wait();
         }
     }
 
-    void exit_prod()
-    {
-        prod_op_.store( false, std::memory_order_release );
-    }
-
-    void enter_cons()
-    {
-        const auto so = o_.broken_dekker ? std::memory_order_release
-                                         : std::memory_order_seq_cst;
-        const auto lo = o_.broken_dekker ? std::memory_order_acquire
-                                         : std::memory_order_seq_cst;
-        retry_guard g;
-        for( ;; )
-        {
-            cons_op_.store( true, so );
-            if( !gate_.load( lo ) )
-            {
-                return;
-            }
-            cons_op_.store( false, std::memory_order_release );
-            g.wait();
-        }
-    }
-
-    void exit_cons()
-    {
-        cons_op_.store( false, std::memory_order_release );
-    }
+    void enter_prod() { enter( prod_op_ ); }
+    void exit_prod() { prod_op_.store( false, std::memory_order_release ); }
+    void enter_cons() { enter( cons_op_ ); }
+    void exit_cons() { cons_op_.store( false, std::memory_order_release ); }
     ///@}
 
     const ring_opts o_;

@@ -31,8 +31,8 @@ inline std::int64_t now_ns() noexcept
 /**
  * Progressive backoff used while a queue end waits for space/data: spin a
  * little, then yield, then sleep briefly. The sleep keeps a blocked side
- * cheap on oversubscribed machines (this host has a single core, so yielding
- * promptly matters for forward progress).
+ * cheap when threads outnumber cores, where yielding promptly matters for
+ * forward progress.
  */
 class backoff
 {
@@ -63,6 +63,24 @@ private:
     static constexpr int yield_limit = 256;
     int count_ = 0;
 };
+
+/**
+ * @name asymmetric barrier
+ * The heavy half of an asymmetric Dekker handshake: heavy_barrier() makes
+ * every thread of the process execute a full memory barrier (Linux
+ * membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED), so the light half needs
+ * only a compiler fence between its store and its load. The process
+ * registers for the command once, on the first call to
+ * heavy_barrier_available(); where registration fails (non-Linux, old
+ * kernel, a seccomp filter) it returns false and callers keep a symmetric
+ * seq_cst pair.
+ */
+///@{
+bool heavy_barrier_available() noexcept;
+/** Returns false if the barrier could not be issued (never expected once
+ *  registration succeeded); the caller must then not rely on it. */
+bool heavy_barrier() noexcept;
+///@}
 
 /** Smallest power of two >= v (v == 0 yields 1). */
 constexpr std::size_t pow2_ceil( std::size_t v ) noexcept

@@ -88,10 +88,10 @@ private:
 template <class T> class tee : public kernel
 {
 public:
-    explicit tee( const std::size_t width ) : kernel(), width_( width )
+    explicit tee( const std::size_t width ) : kernel()
     {
         input.addPort<T>( "0" );
-        for( std::size_t i = 0; i < width_; ++i )
+        for( std::size_t i = 0; i < width; ++i )
         {
             output.addPort<T>( std::to_string( i ) );
         }
@@ -100,15 +100,13 @@ public:
     kstatus run() override
     {
         auto v = input[ "0" ].template pop_s<T>();
-        for( std::size_t i = 0; i < width_; ++i )
+        /** the lanes are the only outputs, in declaration order **/
+        for( auto &p : output )
         {
-            output[ std::to_string( i ) ].push<T>( *v );
+            p.push<T>( *v );
         }
         return raft::proceed;
     }
-
-private:
-    std::size_t width_;
 };
 
 /** Combine `width` input streams ("0".."w-1") into one, in arrival
@@ -116,10 +114,9 @@ private:
 template <class T> class merge : public kernel
 {
 public:
-    explicit merge( const std::size_t width )
-        : kernel(), width_( width )
+    explicit merge( const std::size_t width ) : kernel()
     {
-        for( std::size_t i = 0; i < width_; ++i )
+        for( std::size_t i = 0; i < width; ++i )
         {
             input.addPort<T>( std::to_string( i ) );
         }
@@ -130,9 +127,9 @@ public:
     {
         bool moved       = false;
         bool all_drained = true;
-        for( std::size_t i = 0; i < width_; ++i )
+        /** the lanes are the only inputs, in declaration order **/
+        for( auto &p : input )
         {
-            auto &p = input[ std::to_string( i ) ];
             T v{};
             if( p.template typed<T>().try_pop( v ) )
             {
@@ -156,10 +153,8 @@ public:
 
     bool ready() const override
     {
-        auto *self = const_cast<merge *>( this );
-        for( std::size_t i = 0; i < width_; ++i )
+        for( const auto &p : input )
         {
-            const auto &p = self->input[ std::to_string( i ) ];
             if( p.size() > 0 || p.drained() )
             {
                 return true;
@@ -169,7 +164,6 @@ public:
     }
 
 private:
-    std::size_t width_;
     detail::backoff idle_;
 };
 

@@ -29,9 +29,9 @@ public:
     }
 
     generate( const std::size_t count, gen_fn fn )
-        : kernel(), count_( count ), fn_( std::move( fn ) )
+        : kernel(), out_( output.addPort<T>( "0" ) ), count_( count ),
+          fn_( std::move( fn ) )
     {
-        output.addPort<T>( "0" );
         if( !fn_ )
         {
             std::mt19937_64 eng{ 0x9e3779b97f4a7c15ull ^ get_id() };
@@ -48,7 +48,7 @@ public:
         {
             return raft::stop;
         }
-        auto out = output[ "0" ].allocate_s<T>();
+        auto out = out_.allocate_s<T>();
         ( *out ) = fn_( sent_ );
         if( ++sent_ == count_ )
         {
@@ -59,6 +59,7 @@ public:
     }
 
 private:
+    port &out_;
     std::size_t count_;
     std::size_t sent_{ 0 };
     gen_fn fn_;

@@ -1,7 +1,9 @@
 /**
  * sum.hpp — the paper's running example, verbatim API (Figure 2): pop one
  * element from each of two typed input streams, add, push on the "sum"
- * output stream. Demonstrates the pop_s / allocate_s RAII accessors.
+ * output stream. Demonstrates the pop_s / allocate_s RAII accessors. The
+ * constructor keeps the `port &` each addPort returns, so run() does no
+ * name lookup per element.
  */
 #pragma once
 
@@ -12,21 +14,26 @@ namespace raft {
 template <typename A, typename B, typename C> class sum : public kernel
 {
 public:
-    sum() : kernel()
+    sum()
+        : kernel(), in_a_( input.addPort<A>( "input_a" ) ),
+          in_b_( input.addPort<B>( "input_b" ) ),
+          out_( output.addPort<C>( "sum" ) )
     {
-        input.addPort<A>( "input_a" );
-        input.addPort<B>( "input_b" );
-        output.addPort<C>( "sum" );
     }
 
     virtual kstatus run()
     {
-        auto a( input[ "input_a" ].pop_s<A>() );
-        auto b( input[ "input_b" ].pop_s<B>() );
-        auto c( output[ "sum" ].allocate_s<C>() );
+        auto a( in_a_.pop_s<A>() );
+        auto b( in_b_.pop_s<B>() );
+        auto c( out_.allocate_s<C>() );
         ( *c ) = static_cast<C>( ( *a ) + ( *b ) );
         return ( raft::proceed );
     }
+
+private:
+    port &in_a_;
+    port &in_b_;
+    port &out_;
 };
 
 } /** end namespace raft **/

@@ -269,10 +269,9 @@ kstatus reduce_kernel::run()
 
 bool reduce_kernel::ready() const
 {
-    auto *self = const_cast<reduce_kernel *>( this );
-    for( std::size_t i = 0; i < width_; ++i )
+    /** the lanes are the only inputs, in declaration order **/
+    for( const auto &p : input )
     {
-        const auto &p = self->input[ std::to_string( i ) ];
         if( p.size() > 0 || p.drained() )
         {
             return true;

@@ -14,10 +14,11 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <typeindex>
 #include <typeinfo>
 #include <type_traits>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/defs.hpp"
@@ -283,6 +284,11 @@ private:
  * Insertion-ordered collection of named ports; the `input` / `output`
  * members of every kernel. "Port container objects can contain any type of
  * port" (§4) — element types are per-port.
+ *
+ * Lookup by name is a linear scan: a kernel declares one to four ports, so
+ * comparing a few short names beats building a std::string and hashing it
+ * on every `input["0"]`. Kernels with many ports (lanes) should resolve
+ * them once and keep the `port &` (or iterate the container).
  */
 class port_container
 {
@@ -320,34 +326,28 @@ public:
             throw port_exception( "port '" + name + "' declared twice" );
         }
         ports_.push_back( std::make_unique<port>( name, meta, dir_ ) );
-        index_.emplace( name, ports_.size() - 1 );
         return *ports_.back();
     }
 
     /** Lookup by name; throws port_exception if absent. */
-    port &operator[]( const std::string &name )
+    port &operator[]( const std::string_view name )
     {
-        const auto it = index_.find( name );
-        if( it == index_.end() )
-        {
-            throw port_exception( "no port named '" + name + "'" );
-        }
-        return *ports_[ it->second ];
+        return const_cast<port &>( std::as_const( *this )[ name ] );
     }
 
-    const port &operator[]( const std::string &name ) const
+    const port &operator[]( const std::string_view name ) const
     {
-        const auto it = index_.find( name );
-        if( it == index_.end() )
+        if( const port *p = find( name ) )
         {
-            throw port_exception( "no port named '" + name + "'" );
+            return *p;
         }
-        return *ports_[ it->second ];
+        throw port_exception( "no port named '" + std::string( name ) +
+                              "'" );
     }
 
-    bool has( const std::string &name ) const noexcept
+    bool has( const std::string_view name ) const noexcept
     {
-        return index_.count( name ) != 0;
+        return find( name ) != nullptr;
     }
 
     std::size_t count() const noexcept { return ports_.size(); }
@@ -370,8 +370,19 @@ private:
         }
         ports_.push_back( std::make_unique<port>(
             name, detail::type_meta::of<T>(), dir_ ) );
-        index_.emplace( name, ports_.size() - 1 );
         return *ports_.back();
+    }
+
+    const port *find( const std::string_view name ) const noexcept
+    {
+        for( const auto &p : ports_ )
+        {
+            if( p->name() == name )
+            {
+                return p.get();
+            }
+        }
+        return nullptr;
     }
 
     struct deref_iter
@@ -400,7 +411,6 @@ private:
 
     port_dir dir_;
     std::vector<std::unique_ptr<port>> ports_;
-    std::unordered_map<std::string, std::size_t> index_;
 };
 
 /** Paper-style alias: lambda kernels receive `Port &input, Port &output`. */

@@ -16,7 +16,7 @@
  * consumer under-estimates occupancy); the real counter is re-read only when
  * the cache implies full/empty. In steady state the remote cache line is
  * touched once per buffer-full of elements instead of once per element.
- * resize() re-seeds both caches while the ends are parked — the Dekker
+ * resize() re-seeds both caches while the ends are parked — the gate
  * handshake orders those plain writes against the owning thread's accesses.
  *
  * Batched windows: claim_write_window/claim_read_window acquire N contiguous
@@ -26,26 +26,47 @@
  *
  * Static streams: set_auto_resize(false) declares that no resize() will run
  * concurrently with traffic (the monitor never gates a static stream), which
- * lets enter_prod/enter_cons skip the seq_cst Dekker publication entirely —
- * a relaxed flag check is all that remains of the handshake.
+ * lets the ends skip the handshake entirely — a relaxed mode check is all
+ * that remains of it.
  *
  * Dynamic resizing (§4): a monitor thread samples every δ and calls
  * resize(). The resize protocol is the paper's "lock-free exclusion... only
- * under certain conditions":
+ * under certain conditions". It is an asymmetric Dekker handshake: the
+ * queue ends enter it once per operation, the monitor a few times per
+ * second, so the monitor pays for the fence both sides need:
  *
- *   producer/consumer op:   in_op.store(true, seq_cst);
- *                           if (gate.load(seq_cst)) { in_op=false; wait; }
- *   monitor:                gate.store(true, seq_cst);
+ *   producer/consumer op:   in_op.store(true, relaxed);
+ *                           atomic_signal_fence(seq_cst);  (compiler only)
+ *                           if (gate.load(acquire)) { in_op=false; wait; }
+ *   monitor:                gate.store(true, relaxed);
+ *                           detail::heavy_barrier();       (membarrier)
  *                           wait until both in_op flags clear (bounded);
  *                           relocate elements unwrapped; swap storage;
- *                           gate.store(false);
+ *                           gate.store(false, release);
  *
- * The seq_cst store/load pair is the classic Dekker handshake: either the
- * queue end sees the gate and parks, or the monitor sees the end in-op and
- * waits. Elements are relocated in order into index 0 of the new array, so
- * the ring is in the "non-wrapped position" the paper identifies as the
- * efficient resize condition. If an end cannot be parked within a bounded
- * wait the resize aborts and the monitor retries next tick.
+ * The heavy barrier makes every running thread of the process execute a
+ * full fence, and so splits each end's instruction stream: if an end's
+ * in_op store lies before that point it is visible when the monitor reads
+ * in_op; if it lies after, the end's later gate load sees the raised gate.
+ * Either the end sees the gate and parks, or the monitor sees the end
+ * in-op and waits. Elements are relocated in order into index 0 of the new
+ * array, so the ring is in the "non-wrapped position" the paper identifies
+ * as the efficient resize condition. If an end cannot be parked within a
+ * bounded wait the resize aborts and the monitor retries next tick.
+ *
+ * Platform fallback: where the process cannot register for membarrier
+ * (detail::heavy_barrier_available() is false — not Linux, a kernel older
+ * than 4.14, a seccomp filter), every ring runs the symmetric Dekker pair
+ * instead: each end stores in_op and loads the gate seq_cst (an xchg on
+ * x86), and the monitor stores the gate seq_cst. Registration happens once
+ * per process; the choice is made at construction, per ring.
+ *
+ * Cache lines: each end's published index sits alone on its line, since
+ * the opposite end reads it. Each end's handshake flag, claim depth,
+ * shadow index and blocked-since stamp share a second, end-private line
+ * that only the monitor reads (rarely). Storage pointers, the gate and the
+ * lifecycle flags share a read-mostly line. A spinning blocked end only
+ * loads its blocked-since stamp, so waiting writes no shared line.
  *
  * Blocked-end bookkeeping feeds the monitor's two trigger rules:
  *   - write_blocked_since(): writer stalled on a full queue (3δ rule),
@@ -81,6 +102,7 @@ public:
         sigs_ = new signal[ cap ]();
         capacity_.store( cap, std::memory_order_relaxed );
         mask_.store( cap - 1, std::memory_order_relaxed );
+        handshake_.store( gated_handshake(), std::memory_order_relaxed );
     }
 
     ring_buffer( const ring_buffer & )            = delete;
@@ -168,10 +190,22 @@ public:
     {
         const auto cap_req = detail::pow2_ceil(
             std::max( new_capacity, min_capacity ) );
-        gate_.store( true, std::memory_order_seq_cst );
+        if( handshake_.load( std::memory_order_relaxed ) == hs_light )
+        {
+            gate_.store( true, std::memory_order_relaxed );
+            if( !detail::heavy_barrier() )
+            {
+                gate_.store( false, std::memory_order_release );
+                return false;
+            }
+        }
+        else
+        {
+            gate_.store( true, std::memory_order_seq_cst );
+        }
         const auto deadline = detail::now_ns() + park_timeout_ns;
-        while( prod_op_.load( std::memory_order_seq_cst ) ||
-               cons_op_.load( std::memory_order_seq_cst ) )
+        while( prod_.op.load( std::memory_order_seq_cst ) ||
+               cons_.op.load( std::memory_order_seq_cst ) )
         {
             if( detail::now_ns() > deadline )
             {
@@ -224,8 +258,8 @@ public:
         /** re-seed the shadow indices: both ends are parked, and their next
          *  gate acquisition synchronizes with the release of gate_ below,
          *  so these plain stores are ordered against the owning threads **/
-        cached_head_ = 0;
-        cached_tail_ = n;
+        prod_.cached = 0;
+        cons_.cached = n;
         capacity_.store( cap_req, std::memory_order_relaxed );
         mask_.store( cap_req - 1, std::memory_order_relaxed );
         resize_count_.fetch_add( 1, std::memory_order_relaxed );
@@ -244,12 +278,12 @@ public:
 
     std::int64_t write_blocked_since() const noexcept override
     {
-        return write_blocked_since_.load( std::memory_order_acquire );
+        return prod_.blocked_since.load( std::memory_order_acquire );
     }
 
     std::int64_t read_blocked_since() const noexcept override
     {
-        return read_blocked_since_.load( std::memory_order_acquire );
+        return cons_.blocked_since.load( std::memory_order_acquire );
     }
 
     std::size_t resize_count() const noexcept override
@@ -261,9 +295,10 @@ public:
     {
         auto_resize_.store( enabled, std::memory_order_release );
         /** a static stream (monitor will never gate it) runs the queue ends
-         *  without the seq_cst Dekker publication; resize() must then only
-         *  be called while both ends are quiescent **/
-        gated_.store( enabled, std::memory_order_release );
+         *  without the handshake; resize() must then only be called while
+         *  both ends are quiescent **/
+        handshake_.store( enabled ? gated_handshake() : hs_none,
+                          std::memory_order_release );
     }
 
     bool auto_resize() const noexcept override
@@ -281,7 +316,7 @@ public:
             return false;
         }
         auto &dst = static_cast<fifo<T> &>( dstb );
-        enter_cons();
+        enter( cons_ );
         const auto h = head_.load( std::memory_order_relaxed );
         const auto t = cons_tail( h );
         bool ok = false;
@@ -296,7 +331,7 @@ public:
             }
             catch( ... )
             {
-                exit_cons();
+                leave( cons_ );
                 throw;
             }
             if( pushed )
@@ -306,7 +341,7 @@ public:
                 ok = true;
             }
         }
-        exit_cons();
+        leave( cons_ );
         return ok;
     }
 
@@ -318,7 +353,7 @@ public:
             return 0;
         }
         auto &dst = static_cast<fifo<T> &>( dstb );
-        enter_cons();
+        enter( cons_ );
         const auto h     = head_.load( std::memory_order_relaxed );
         const auto t     = cons_tail( h );
         const auto avail = static_cast<std::size_t>( t - h );
@@ -356,7 +391,7 @@ public:
                 {
                     head_.store( h + done, std::memory_order_release );
                 }
-                exit_cons();
+                leave( cons_ );
                 throw;
             }
             if( done > 0 )
@@ -364,7 +399,7 @@ public:
                 head_.store( h + done, std::memory_order_release );
             }
         }
-        exit_cons();
+        leave( cons_ );
         return done;
     }
     ///@}
@@ -459,7 +494,7 @@ public:
         detail::backoff b;
         for( ;; )
         {
-            enter_cons();
+            enter( cons_ );
             const auto h = head_.load( std::memory_order_relaxed );
             const auto t = cons_tail( h );
             if( t != h )
@@ -473,14 +508,14 @@ public:
                 }
                 slot.~T();
                 head_.store( h + 1, std::memory_order_release );
-                exit_cons();
+                leave( cons_ );
                 clear_read_block();
                 return;
             }
-            exit_cons();
+            leave( cons_ );
             throw_if_aborted_read();
             throw_if_drained();
-            note_read_block();
+            note_block( cons_ );
             b.pause();
         }
     }
@@ -504,7 +539,7 @@ public:
         detail::backoff b;
         while( remaining > 0 )
         {
-            enter_cons();
+            enter( cons_ );
             const auto h = head_.load( std::memory_order_relaxed );
             const auto t = cons_tail( h, remaining );
             const auto avail = static_cast<std::size_t>( t - h );
@@ -518,15 +553,15 @@ public:
                 }
                 head_.store( h + batch, std::memory_order_release );
                 remaining -= batch;
-                exit_cons();
+                leave( cons_ );
                 clear_read_block();
                 b.reset();
                 continue;
             }
-            exit_cons();
+            leave( cons_ );
             throw_if_aborted_read();
             throw_if_drained();
-            note_read_block();
+            note_block( cons_ );
             b.pause();
         }
     }
@@ -541,7 +576,7 @@ public:
             throw closed_port_exception(
                 "push on a stream whose reader terminated" );
         }
-        enter_prod();
+        enter( prod_ );
         const auto t   = tail_.load( std::memory_order_relaxed );
         const auto cap = capacity_.load( std::memory_order_relaxed );
         const auto h   = prod_head( t, cap );
@@ -555,13 +590,13 @@ public:
             tail_.store( t + 1, std::memory_order_release );
             ok = true;
         }
-        exit_prod();
+        leave( prod_ );
         return ok;
     }
 
     bool try_pop( T &out, signal *sig = nullptr ) override
     {
-        enter_cons();
+        enter( cons_ );
         const auto h = head_.load( std::memory_order_relaxed );
         const auto t = cons_tail( h );
         bool ok      = false;
@@ -578,7 +613,7 @@ public:
             head_.store( h + 1, std::memory_order_release );
             ok = true;
         }
-        exit_cons();
+        leave( cons_ );
         return ok;
     }
 
@@ -594,7 +629,7 @@ public:
             throw closed_port_exception(
                 "push on a stream whose reader terminated" );
         }
-        enter_prod();
+        enter( prod_ );
         const auto t   = tail_.load( std::memory_order_relaxed );
         const auto cap = capacity_.load( std::memory_order_relaxed );
         /** reload the shadow cache when it cannot cover the full batch **/
@@ -613,7 +648,7 @@ public:
             }
             tail_.store( t + k, std::memory_order_release );
         }
-        exit_prod();
+        leave( prod_ );
         return k;
     }
 
@@ -624,7 +659,7 @@ public:
         {
             return 0;
         }
-        enter_cons();
+        enter( cons_ );
         const auto h     = head_.load( std::memory_order_relaxed );
         const auto t     = cons_tail( h, n );
         const auto avail = static_cast<std::size_t>( t - h );
@@ -645,7 +680,7 @@ public:
             }
             head_.store( h + k, std::memory_order_release );
         }
-        exit_cons();
+        leave( cons_ );
         return k;
     }
     ///@}
@@ -673,7 +708,7 @@ public:
                 throw closed_port_exception(
                     "allocate_range on a stream whose reader terminated" );
             }
-            enter_prod();
+            enter( prod_ );
             const auto t   = tail_.load( std::memory_order_relaxed );
             const auto cap = capacity_.load( std::memory_order_relaxed );
             /** need = full request: reload the shadow cache (once per
@@ -700,9 +735,9 @@ public:
                 /** claim held — released by publish_write_window **/
                 return k;
             }
-            exit_prod();
+            leave( prod_ );
             throw_if_aborted_write();
-            note_write_block();
+            note_block( prod_ );
             b.pause();
         }
     }
@@ -720,7 +755,7 @@ public:
         {
             tail_.store( t + n, std::memory_order_release );
         }
-        exit_prod();
+        leave( prod_ );
     }
 
     std::size_t claim_read_window( std::size_t max_n,
@@ -736,7 +771,7 @@ public:
         detail::backoff b;
         for( ;; )
         {
-            enter_cons();
+            enter( cons_ );
             const auto h = head_.load( std::memory_order_relaxed );
             /** same full-request reload policy as claim_write_window **/
             const auto t     = cons_tail( h, max_n );
@@ -751,10 +786,10 @@ public:
                 /** claim held — released by consume_read_window **/
                 return std::min( max_n, avail );
             }
-            exit_cons();
+            leave( cons_ );
             throw_if_aborted_read();
             throw_if_drained();
-            note_read_block();
+            note_block( cons_ );
             b.pause();
         }
     }
@@ -771,7 +806,7 @@ public:
         {
             head_.store( h + n, std::memory_order_release );
         }
-        exit_cons();
+        leave( cons_ );
     }
     ///@}
 
@@ -782,7 +817,7 @@ public:
         detail::backoff b;
         for( ;; )
         {
-            enter_cons();
+            enter( cons_ );
             const auto h = head_.load( std::memory_order_relaxed );
             const auto t = cons_tail( h );
             if( t != h )
@@ -793,10 +828,10 @@ public:
                 /** claim stays held — released by consume/release_head **/
                 return data_[ h & m ];
             }
-            exit_cons();
+            leave( cons_ );
             throw_if_aborted_read();
             throw_if_drained();
-            note_read_block();
+            note_block( cons_ );
             b.pause();
         }
     }
@@ -807,10 +842,10 @@ public:
         const auto m = mask_.load( std::memory_order_relaxed );
         data_[ h & m ].~T();
         head_.store( h + 1, std::memory_order_release );
-        exit_cons();
+        leave( cons_ );
     }
 
-    void release_head() noexcept override { exit_cons(); }
+    void release_head() noexcept override { leave( cons_ ); }
 
     T *claim_tail() override
     {
@@ -824,7 +859,7 @@ public:
                 throw closed_port_exception(
                     "allocate on a stream whose reader terminated" );
             }
-            enter_prod();
+            enter( prod_ );
             const auto t   = tail_.load( std::memory_order_relaxed );
             const auto cap = capacity_.load( std::memory_order_relaxed );
             const auto h   = prod_head( t, cap );
@@ -836,9 +871,9 @@ public:
                 /** claim stays held — released by publish/abandon_tail **/
                 return slot;
             }
-            exit_prod();
+            leave( prod_ );
             throw_if_aborted_write();
-            note_write_block();
+            note_block( prod_ );
             b.pause();
         }
     }
@@ -849,7 +884,7 @@ public:
         const auto m = mask_.load( std::memory_order_relaxed );
         sigs_[ t & m ] = sig;
         tail_.store( t + 1, std::memory_order_release );
-        exit_prod();
+        leave( prod_ );
     }
 
     void abandon_tail() noexcept override
@@ -857,7 +892,7 @@ public:
         const auto t = tail_.load( std::memory_order_relaxed );
         const auto m = mask_.load( std::memory_order_relaxed );
         data_[ t & m ].~T();
-        exit_prod();
+        leave( prod_ );
     }
 
     void claim_window( const std::size_t n,
@@ -882,11 +917,11 @@ public:
                 resize_request_.store( detail::pow2_ceil( n ),
                                        std::memory_order_release );
                 throw_if_aborted_read();
-                note_read_block();
+                note_block( cons_ );
                 b.pause();
                 continue;
             }
-            enter_cons();
+            enter( cons_ );
             const auto h = head_.load( std::memory_order_relaxed );
             const auto t = cons_tail( h, n );
             if( static_cast<std::size_t>( t - h ) >= n )
@@ -898,7 +933,7 @@ public:
                 /** claim held — released by the window's destructor **/
                 return;
             }
-            exit_cons();
+            leave( cons_ );
             throw_if_aborted_read();
             if( write_closed() &&
                 static_cast<std::size_t>(
@@ -909,13 +944,39 @@ public:
                 throw closed_port_exception(
                     "peek_range can never be satisfied: upstream closed" );
             }
-            note_read_block();
+            note_block( cons_ );
             b.pause();
         }
     }
     ///@}
 
 private:
+    /** handshake modes (handshake_): none for a static stream, light
+     *  when the process registered for the heavy barrier, full (the
+     *  symmetric seq_cst pair) otherwise **/
+    static constexpr std::uint8_t hs_none  = 0;
+    static constexpr std::uint8_t hs_light = 1;
+    static constexpr std::uint8_t hs_full  = 2;
+
+    static std::uint8_t gated_handshake() noexcept
+    {
+        return detail::heavy_barrier_available() ? hs_light : hs_full;
+    }
+
+    /** One queue end's private state, on its own cache line: written by
+     *  the owning thread on every operation, read by the monitor only
+     *  (op in resize, blocked_since once per tick). The plain fields are
+     *  thread-private, ordered by the gate protocol when resize() touches
+     *  them. */
+    struct alignas( cacheline_size ) end_state
+    {
+        std::atomic<bool> op{ false };  /**< inside an operation */
+        bool announced{ false };        /**< op was published */
+        int depth{ 0 };                 /**< claim nesting depth */
+        std::uint64_t cached{ 0 };      /**< shadow of the opposite index */
+        std::atomic<std::int64_t> blocked_since{ 0 };
+    };
+
     static T *allocate_storage( const std::size_t cap )
     {
         return static_cast<T *>( ::operator new(
@@ -933,7 +994,7 @@ private:
                 throw closed_port_exception(
                     "push on a stream whose reader terminated" );
             }
-            enter_prod();
+            enter( prod_ );
             const auto t   = tail_.load( std::memory_order_relaxed );
             const auto cap = capacity_.load( std::memory_order_relaxed );
             const auto h   = prod_head( t, cap );
@@ -943,13 +1004,13 @@ private:
                 construct( static_cast<void *>( data_ + ( t & m ) ) );
                 sigs_[ t & m ] = sig;
                 tail_.store( t + 1, std::memory_order_release );
-                exit_prod();
+                leave( prod_ );
                 clear_write_block();
                 return;
             }
-            exit_prod();
+            leave( prod_ );
             throw_if_aborted_write();
-            note_write_block();
+            note_block( prod_ );
             b.pause();
         }
     }
@@ -1005,29 +1066,31 @@ private:
      */
     ///@{
     /** Producer view of head_; refreshed when the cache shows fewer than
-     *  `need` free slots. Call only between enter_prod/exit_prod. */
+     *  `need` free slots. Call only between enter( prod_ ) and
+     *  leave( prod_ ). */
     std::uint64_t prod_head( const std::uint64_t t, const std::size_t cap,
                              const std::size_t need = 1 ) noexcept
     {
-        auto h = cached_head_;
+        auto h = prod_.cached;
         if( static_cast<std::size_t>( t - h ) + need > cap )
         {
             h            = head_.load( std::memory_order_acquire );
-            cached_head_ = h;
+            prod_.cached = h;
         }
         return h;
     }
 
     /** Consumer view of tail_; refreshed when the cache shows fewer than
-     *  `need` occupied slots. Call only between enter_cons/exit_cons. */
+     *  `need` occupied slots. Call only between enter( cons_ ) and
+     *  leave( cons_ ). */
     std::uint64_t cons_tail( const std::uint64_t h,
                              const std::size_t need = 1 ) noexcept
     {
-        auto t = cached_tail_;
+        auto t = cons_.cached;
         if( static_cast<std::size_t>( t - h ) < need )
         {
             t            = tail_.load( std::memory_order_acquire );
-            cached_tail_ = t;
+            cons_.cached = t;
         }
         return t;
     }
@@ -1035,164 +1098,128 @@ private:
 
     /** @name gate handshake (see file header) */
     ///@{
-    void enter_prod() noexcept
+    void enter( end_state &e ) noexcept
     {
-        if( prod_depth_++ > 0 )
+        if( e.depth++ > 0 )
         {
             return;
         }
-        if( !gated_.load( std::memory_order_relaxed ) )
+        const auto hs = handshake_.load( std::memory_order_relaxed );
+        e.announced   = hs != hs_none;
+        if( hs == hs_none )
         {
-            prod_announced_ = false; /** static stream: no Dekker store **/
-            return;
+            return; /** static stream: no handshake **/
         }
-        prod_announced_ = true;
         for( ;; )
         {
-            prod_op_.store( true, std::memory_order_seq_cst );
-            if( !gate_.load( std::memory_order_seq_cst ) )
+            if( hs == hs_light )
             {
-                return;
+                /** the monitor's heavy barrier supplies the fence **/
+                e.op.store( true, std::memory_order_relaxed );
+                std::atomic_signal_fence( std::memory_order_seq_cst );
+                if( !gate_.load( std::memory_order_acquire ) )
+                {
+                    return;
+                }
             }
-            prod_op_.store( false, std::memory_order_release );
+            else
+            {
+                e.op.store( true, std::memory_order_seq_cst );
+                if( !gate_.load( std::memory_order_seq_cst ) )
+                {
+                    return;
+                }
+            }
+            e.op.store( false, std::memory_order_release );
             std::this_thread::yield();
         }
     }
 
-    void exit_prod() noexcept
+    static void leave( end_state &e ) noexcept
     {
-        if( --prod_depth_ == 0 && prod_announced_ )
+        if( --e.depth == 0 && e.announced )
         {
-            prod_op_.store( false, std::memory_order_release );
-        }
-    }
-
-    void enter_cons() noexcept
-    {
-        if( cons_depth_++ > 0 )
-        {
-            return;
-        }
-        if( !gated_.load( std::memory_order_relaxed ) )
-        {
-            cons_announced_ = false; /** static stream: no Dekker store **/
-            return;
-        }
-        cons_announced_ = true;
-        for( ;; )
-        {
-            cons_op_.store( true, std::memory_order_seq_cst );
-            if( !gate_.load( std::memory_order_seq_cst ) )
-            {
-                return;
-            }
-            cons_op_.store( false, std::memory_order_release );
-            std::this_thread::yield();
-        }
-    }
-
-    void exit_cons() noexcept
-    {
-        if( --cons_depth_ == 0 && cons_announced_ )
-        {
-            cons_op_.store( false, std::memory_order_release );
+            e.op.store( false, std::memory_order_release );
         }
     }
     ///@}
 
-    void note_write_block() noexcept
+    /** @name blocked-since stamps
+     * note_block loads before it CASes, so an end spinning on a full or
+     * empty queue only reads its stamp after the first miss. clear_block's
+     * load-then-conditional-store keeps the never-blocked hot path at a
+     * single relaxed load; the unblock transition (cold — the end just
+     * finished waiting) additionally closes the blocked tracer span when
+     * this stream is being traced.
+     */
+    ///@{
+    static void note_block( end_state &e ) noexcept
     {
-        std::int64_t expected = 0;
-        write_blocked_since_.compare_exchange_strong(
-            expected, detail::now_ns(), std::memory_order_relaxed );
+        if( e.blocked_since.load( std::memory_order_relaxed ) == 0 )
+        {
+            std::int64_t expected = 0;
+            e.blocked_since.compare_exchange_strong(
+                expected, detail::now_ns(), std::memory_order_relaxed );
+        }
     }
 
-    /** The load-then-conditional-store keeps the never-blocked hot path
-     *  at a single relaxed load; the unblock transition (cold — the
-     *  producer just finished waiting) additionally closes the
-     *  blocked-on-push tracer span when this stream is being traced. **/
-    void clear_write_block() noexcept
+    static void clear_block( end_state &e,
+                             const std::uint32_t trace_name ) noexcept
     {
-        const auto since =
-            write_blocked_since_.load( std::memory_order_relaxed );
+        const auto since = e.blocked_since.load( std::memory_order_relaxed );
         if( since != 0 )
         {
-            write_blocked_since_.store( 0, std::memory_order_relaxed );
+            e.blocked_since.store( 0, std::memory_order_relaxed );
             if( telemetry::tracing() )
             {
-                telemetry::span( this->telemetry_push_block(),
-                                 telemetry::cat::stream, since,
+                telemetry::span( trace_name, telemetry::cat::stream, since,
                                  detail::now_ns() );
             }
         }
     }
 
-    void note_read_block() noexcept
+    void clear_write_block() noexcept
     {
-        std::int64_t expected = 0;
-        read_blocked_since_.compare_exchange_strong(
-            expected, detail::now_ns(), std::memory_order_relaxed );
+        clear_block( prod_, this->telemetry_push_block() );
     }
 
     void clear_read_block() noexcept
     {
-        const auto since =
-            read_blocked_since_.load( std::memory_order_relaxed );
-        if( since != 0 )
-        {
-            read_blocked_since_.store( 0, std::memory_order_relaxed );
-            if( telemetry::tracing() )
-            {
-                telemetry::span( this->telemetry_pop_block(),
-                                 telemetry::cat::stream, since,
-                                 detail::now_ns() );
-            }
-        }
+        clear_block( cons_, this->telemetry_pop_block() );
     }
+    ///@}
 
     static constexpr std::int64_t park_timeout_ns = 2'000'000; /** 2 ms **/
 
-    /** storage — mutated only with both ends parked **/
-    T *data_{ nullptr };
+    /** read-mostly: storage (mutated only with both ends parked), the gate
+     *  and the lifecycle flags **/
+    alignas( cacheline_size ) T *data_{ nullptr };
     signal *sigs_{ nullptr };
     std::atomic<std::size_t> capacity_{ 0 };
     std::atomic<std::size_t> mask_{ 0 };
-
-    /** hot indices: one cache line per end, holding the end's own counter,
-     *  its shadow of the opposite counter and its thread-private handshake
-     *  bookkeeping (shadow/bookkeeping fields are plain — ordered by the
-     *  gate protocol when the monitor touches them during resize) **/
-    alignas( cacheline_size ) std::atomic<std::uint64_t> head_{ 0 };
-    std::uint64_t cached_tail_{ 0 };  /**< consumer's shadow of tail_ */
-    int cons_depth_{ 0 };             /**< consumer claim nesting depth */
-    bool cons_announced_{ false };    /**< consumer published cons_op_ */
-    alignas( cacheline_size ) std::atomic<std::uint64_t> tail_{ 0 };
-    std::uint64_t cached_head_{ 0 };  /**< producer's shadow of head_ */
-    int prod_depth_{ 0 };             /**< producer claim nesting depth */
-    bool prod_announced_{ false };    /**< producer published prod_op_ */
-
-    /** gate handshake state **/
-    alignas( cacheline_size ) std::atomic<bool> gate_{ false };
-    std::atomic<bool> prod_op_{ false };
-    std::atomic<bool> cons_op_{ false };
-    /** false once set_auto_resize(false) declares the stream static: the
-     *  monitor never gates it, so the ends skip the Dekker publication **/
-    std::atomic<bool> gated_{ true };
-
-    /** lifecycle **/
+    std::atomic<bool> gate_{ false };
+    std::atomic<std::uint8_t> handshake_{ hs_none };
     std::atomic<bool> write_closed_{ false };
     std::atomic<bool> read_closed_{ false };
     /** poisoned by graph-wide cancellation (fifo_base::abort) **/
     std::atomic<bool> aborted_{ false };
-
-    /** monitor-facing bookkeeping **/
-    std::atomic<std::int64_t> write_blocked_since_{ 0 };
-    std::atomic<std::int64_t> read_blocked_since_{ 0 };
-    std::atomic<std::size_t> resize_request_{ 0 };
-    std::atomic<std::size_t> resize_count_{ 0 };
     std::atomic<bool> auto_resize_{ false };
+    /** posted by a blocked reader, cleared by resize() **/
+    std::atomic<std::size_t> resize_request_{ 0 };
+    /** written only by resize() **/
+    std::atomic<std::size_t> resize_count_{ 0 };
     std::atomic<std::uint64_t> pushed_base_{ 0 };
     std::atomic<std::uint64_t> popped_base_{ 0 };
+
+    /** published indices: each alone on its line (the opposite end reads
+     *  it) **/
+    alignas( cacheline_size ) std::atomic<std::uint64_t> head_{ 0 };
+    alignas( cacheline_size ) std::atomic<std::uint64_t> tail_{ 0 };
+
+    /** end-private state: the consumer's shadow is of tail_, the
+     *  producer's of head_ **/
+    end_state cons_;
+    end_state prod_;
 };
 
 } /** end namespace raft **/

@@ -173,9 +173,12 @@ void kernel_loop( kernel &k, exec_context &ctx )
     auto *const probe = k.probe();
     const auto life_start =
         probe != nullptr ? now_ns() : std::int64_t{ 0 };
+    /** kernel::name() builds a string (demangle + id for unnamed
+     *  kernels): resolve it once, not per run() **/
+    const std::string name = k.name();
     if( probe != nullptr && telemetry::tracing() )
     {
-        telemetry::name_thread( k.name() );
+        telemetry::name_thread( name );
     }
     for( ;; ) /** restart loop (supervised runs re-enter here) **/
     {
@@ -187,7 +190,7 @@ void kernel_loop( kernel &k, exec_context &ctx )
                 {
                     break;
                 }
-                runtime::inject::maybe_throw( "kernel.run", k.name() );
+                runtime::inject::maybe_throw( "kernel.run", name );
                 if( probe != nullptr )
                 {
                     /** service-time accounting: runs, busy ns, and the
@@ -346,6 +349,13 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
     {
         r.store( 0, std::memory_order_relaxed );
     }
+    /** names resolved once per exe(), not per dispatch **/
+    std::vector<std::string> names;
+    names.reserve( n );
+    for( const kernel *k : kernels )
+    {
+        names.push_back( k->name() );
+    }
     std::atomic<std::size_t> done_count{ 0 };
     detail::exec_context ctx;
     ctx.kernels = &kernels;
@@ -373,8 +383,11 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
             bool progressed = false;
             for( std::size_t i = 0; i < n; ++i )
             {
-                if( retry_at[ i ].load( std::memory_order_acquire ) >
-                    detail::now_ns() )
+                /** 0 = never failed: skip the clock read (unsupervised
+                 *  runs never arm retry_at) **/
+                const auto retry = retry_at[ i ].load(
+                    std::memory_order_acquire );
+                if( retry != 0 && retry > detail::now_ns() )
                 {
                     continue; /** backing off before a restart **/
                 }
@@ -397,7 +410,7 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
                     try
                     {
                         runtime::inject::maybe_throw( "kernel.run",
-                                                      k->name() );
+                                                      names[ i ] );
                         /** batched dispatch: amortize scheduling cost
                          *  and keep the kernel's working set cache-hot
                          *  while it stays ready **/

@@ -123,13 +123,16 @@ tcp_connection tcp_connection::connect( const std::string &host,
 
 void tcp_connection::send_all( const void *data, const std::size_t n )
 {
-    if( raft::runtime::inject::should_kill( "net.send",
-                                            std::to_string( fd_ ) ) )
+    if( raft::runtime::inject::enabled() )
     {
-        kill();
+        /** build the site detail only when injection is on **/
+        const auto site_detail = std::to_string( fd_ );
+        if( raft::runtime::inject::should_kill( "net.send", site_detail ) )
+        {
+            kill();
+        }
+        raft::runtime::inject::maybe_delay( "net.send", site_detail );
     }
-    raft::runtime::inject::maybe_delay( "net.send",
-                                        std::to_string( fd_ ) );
     const auto *p  = static_cast<const char *>( data );
     std::size_t off = 0;
     while( off < n )
@@ -153,7 +156,8 @@ void tcp_connection::send_all( const void *data, const std::size_t n )
 
 std::size_t tcp_connection::recv_some( void *data, const std::size_t n )
 {
-    if( raft::runtime::inject::should_kill( "net.recv",
+    if( raft::runtime::inject::enabled() &&
+        raft::runtime::inject::should_kill( "net.recv",
                                             std::to_string( fd_ ) ) )
     {
         kill();
@@ -278,42 +282,44 @@ void tcp_connection::close() noexcept
 
 tcp_listener::tcp_listener( const std::uint16_t port )
 {
-    fd_ = ::socket( AF_INET, SOCK_STREAM, 0 );
-    if( fd_ < 0 )
+    const int fd = ::socket( AF_INET, SOCK_STREAM, 0 );
+    if( fd < 0 )
     {
         throw_errno( "socket" );
     }
     const int one = 1;
-    ::setsockopt( fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof( one ) );
+    ::setsockopt( fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof( one ) );
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port   = htons( port );
     ::inet_pton( AF_INET, "127.0.0.1", &addr.sin_addr );
-    if( ::bind( fd_, reinterpret_cast<sockaddr *>( &addr ),
+    if( ::bind( fd, reinterpret_cast<sockaddr *>( &addr ),
                 sizeof( addr ) ) != 0 )
     {
-        ::close( fd_ );
+        ::close( fd );
         throw_errno( "bind" );
     }
-    if( ::listen( fd_, 16 ) != 0 )
+    if( ::listen( fd, 16 ) != 0 )
     {
-        ::close( fd_ );
+        ::close( fd );
         throw_errno( "listen" );
     }
     sockaddr_in bound{};
     socklen_t len = sizeof( bound );
-    if( ::getsockname( fd_, reinterpret_cast<sockaddr *>( &bound ),
+    if( ::getsockname( fd, reinterpret_cast<sockaddr *>( &bound ),
                        &len ) == 0 )
     {
         port_ = ntohs( bound.sin_port );
     }
+    fd_.store( fd, std::memory_order_release );
 }
 
 tcp_listener::~tcp_listener() { close(); }
 
 tcp_connection tcp_listener::accept()
 {
-    const int fd = ::accept( fd_, nullptr, nullptr );
+    const int fd =
+        ::accept( fd_.load( std::memory_order_acquire ), nullptr, nullptr );
     if( fd < 0 )
     {
         throw_errno( "accept" );
@@ -325,13 +331,13 @@ tcp_connection tcp_listener::accept()
 
 void tcp_listener::close() noexcept
 {
-    if( fd_ >= 0 )
+    const int fd = fd_.exchange( -1, std::memory_order_acq_rel );
+    if( fd >= 0 )
     {
         /** shutdown first: close() alone does not wake a thread blocked
          *  in accept() on Linux **/
-        ::shutdown( fd_, SHUT_RDWR );
-        ::close( fd_ );
-        fd_ = -1;
+        ::shutdown( fd, SHUT_RDWR );
+        ::close( fd );
     }
 }
 

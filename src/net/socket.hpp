@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -119,10 +120,12 @@ public:
     /** Block until a client connects. */
     tcp_connection accept();
 
+    /** Safe to call from another thread while accept() blocks: it wakes
+     *  the blocked accept() with an error. */
     void close() noexcept;
 
 private:
-    int fd_{ -1 };
+    std::atomic<int> fd_{ -1 };
     std::uint16_t port_{ 0 };
 };
 

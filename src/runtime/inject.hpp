@@ -18,7 +18,8 @@
  * the same decision sequence for the same hit order.
  *
  * Everything defaults OFF. The disabled fast path is one inline relaxed
- * atomic load per site — no locks, no allocation, no behavior change.
+ * atomic load per site — no locks, no allocation, no behavior change —
+ * provided the caller's detail argument is already built (see below).
  */
 #pragma once
 
@@ -86,7 +87,11 @@ void arm( plan p );
 std::uint64_t fired( const std::string &site );
 
 /** @name instrumentation sites (called from the runtime)
- * Disabled cost: the inline enabled() check only.
+ * Disabled cost: the inline enabled() check, plus whatever the caller
+ * spends building `detail` — arguments are evaluated before the check. A
+ * hot-path caller must therefore pass a string it resolved once outside
+ * its loop (the schedulers resolve each kernel's name once per exe()),
+ * never a temporary such as kernel::name().
  */
 ///@{
 inline void maybe_throw( const char *site, const std::string &detail )

@@ -3,10 +3,13 @@
  * explorer itself (it must find a textbook load/store race and prove the
  * RMW fix), then the re-instantiated ring-buffer protocol: SPSC transfer
  * with shadow-index caching under sequential consistency and under bounded
- * store reordering, the cooperative resize handshake, abort semantics on
- * blocked ends, abort-beats-EOS ordering — and the two deliberately broken
- * variants (weakened Dekker fence, swapped abort/EOS checks) that the
- * checker must catch.
+ * store reordering, the cooperative resize handshake (the shipped
+ * asymmetric pair proved exhaustively under store reordering for each
+ * queue end, and all three parties at once under sequential consistency;
+ * the symmetric fallback proved too), abort semantics on blocked ends,
+ * abort-beats-EOS ordering — and the three deliberately broken variants
+ * (weakened fallback fence, asymmetric pair without the heavy barrier,
+ * swapped abort/EOS checks) that the checker must catch.
  */
 #include <gtest/gtest.h>
 
@@ -401,4 +404,157 @@ TEST( model_checker, broken_abort_order_caught )
     ASSERT_FALSE( r.ok() ) << r.summary();
     EXPECT_NE( r.violations.front().message.find( "EOS despite abort" ),
                std::string::npos );
+}
+
+namespace {
+
+/** Final-state check of a wrapped ring that must hold exactly `want`,
+ *  oldest first. */
+auto holds( const model_ring &ring, const std::vector<int> want )
+{
+    return [ &ring, want ]( const auto &fail )
+    {
+        if( ring.raw_size() != want.size() )
+        {
+            fail( "element lost or duplicated across resize: size " +
+                  std::to_string( ring.raw_size() ) );
+            return;
+        }
+        for( unsigned i = 0U; i < want.size(); ++i )
+        {
+            if( ring.raw_at( i ) != want[ i ] )
+            {
+                fail( "FIFO order broken across resize" );
+                return;
+            }
+        }
+    };
+}
+
+/** The producer pushes 20 into an empty ring wrapped at index 1 while the
+ *  monitor grows it. */
+raft::mc::result producer_vs_resize( model_ring &ring,
+                                     const raft::mc::options &opt )
+{
+    return raft::mc::explore(
+        opt,
+        [ & ]
+        {
+            ring.reset( 2 );
+            ring.raw_seed( 1U, {} );
+        },
+        { [ & ]() { raft::mc::check( ring.push( 20 ), "push aborted" ); },
+          [ & ]() { (void) ring.try_resize( 4 ); } },
+        holds( ring, { 20 } ) );
+}
+
+/** The consumer pops the one element of a ring wrapped at index 1 while
+ *  the monitor grows it. */
+raft::mc::result consumer_vs_resize( model_ring &ring,
+                                     const raft::mc::options &opt )
+{
+    return raft::mc::explore(
+        opt,
+        [ & ]
+        {
+            ring.reset( 2 );
+            ring.raw_seed( 1U, { 10 } );
+        },
+        { [ & ]()
+          {
+              int v = 0;
+              raft::mc::check( ring.pop( v ) == pop_status::got,
+                               "unexpected pop status" );
+              raft::mc::check( v == 10, "popped the wrong element" );
+          },
+          [ & ]() { (void) ring.try_resize( 4 ); } },
+        holds( ring, {} ) );
+}
+
+} /** end anonymous namespace **/
+
+/** The shipped handshake — relaxed store + light barrier on the ends, gate
+ *  store + heavy barrier on the monitor — proved exhaustively with one
+ *  buffered store per thread, once per queue end (each end's handshake is
+ *  independent of the other's). */
+TEST( model_checker, asymmetric_handshake_proved_producer_vs_resize )
+{
+    model_ring ring;
+    const auto r = producer_vs_resize( ring, quick( /*store_buffer=*/1 ) );
+    EXPECT_TRUE( r.ok() ) << r.summary();
+    EXPECT_TRUE( r.complete ) << r.summary();
+}
+
+TEST( model_checker, asymmetric_handshake_proved_consumer_vs_resize )
+{
+    model_ring ring;
+    const auto r = consumer_vs_resize( ring, quick( /*store_buffer=*/1 ) );
+    EXPECT_TRUE( r.ok() ) << r.summary();
+    EXPECT_TRUE( r.complete ) << r.summary();
+}
+
+TEST( model_checker, spsc_with_resize_proved_under_sc )
+{
+    /** all three parties at once: producer, consumer and monitor race on
+     *  an empty wrapped ring */
+    model_ring ring;
+    int got      = 0;
+    const auto r = raft::mc::explore(
+        quick(),
+        [ & ]
+        {
+            ring.reset( 2 );
+            ring.raw_seed( 1U, {} );
+            got = 0;
+        },
+        { [ & ]() { raft::mc::check( ring.push( 7 ), "push aborted" ); },
+          [ & ]()
+          {
+              int v = 0;
+              raft::mc::check( ring.pop( v ) == pop_status::got,
+                               "unexpected pop status" );
+              got = v;
+          },
+          [ & ]() { (void) ring.try_resize( 4 ); } },
+        [ & ]( const auto &fail )
+        {
+            if( got != 7 || ring.raw_size() != 0U )
+            {
+                fail( "element lost, corrupted or duplicated" );
+            }
+        } );
+    EXPECT_TRUE( r.ok() ) << r.summary();
+    EXPECT_TRUE( r.complete ) << r.summary();
+}
+
+TEST( model_checker, symmetric_fallback_proved_under_store_reordering )
+{
+    /** the platform fallback (seq_cst pair) on the wrapped-ring race of
+     *  resize_handshake_correct_under_store_reordering, exhaustively */
+    model_ring ring( raft::mc::ring_opts{ false, false, false,
+                                          /*symmetric=*/true } );
+    const auto r = raft::mc::explore(
+        quick( /*store_buffer=*/1 ),
+        [ & ]
+        {
+            ring.reset( 2 );
+            ring.raw_seed( 1U, { 10 } );
+        },
+        { [ & ]() { raft::mc::check( ring.push( 20 ), "push aborted" ); },
+          [ & ]() { (void) ring.try_resize( 4 ); } },
+        holds( ring, { 10, 20 } ) );
+    EXPECT_TRUE( r.ok() ) << r.summary();
+    EXPECT_TRUE( r.complete ) << r.summary();
+}
+
+TEST( model_checker, missing_heavy_barrier_caught_under_store_reordering )
+{
+    /** the asymmetric ends without the monitor's heavy barrier: an end's
+     *  relaxed announcement can hide in its store buffer past the
+     *  monitor's seq_cst gate store, and both enter the critical section */
+    model_ring ring( raft::mc::ring_opts{ false, false,
+                                          /*no_heavy_barrier=*/true } );
+    const auto r = producer_vs_resize( ring, quick( /*store_buffer=*/1 ) );
+    ASSERT_FALSE( r.ok() ) << r.summary();
+    EXPECT_FALSE( r.violations.front().trace.empty() );
 }
