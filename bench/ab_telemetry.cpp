@@ -92,9 +92,8 @@ double run_once( const mode m_, const bool pool_sched = true,
     o.monitor_delta = std::chrono::milliseconds( 1 );
     if( pool_sched )
     {
-        o.scheduler       = raft::scheduler_kind::pool;
-        o.pool_threads    = 1;
-        o.pool_batch_size = 64;
+        o.scheduler    = raft::scheduler_kind::pool;
+        o.pool_threads = 1;
     }
     o.telemetry.enabled = m_ != mode::off;
     o.telemetry.trace   = m_ == mode::full;

@@ -68,6 +68,12 @@ public:
     virtual void close_read() noexcept         = 0;
     virtual bool read_closed() const noexcept  = 0;
     bool drained() const noexcept { return write_closed() && size() == 0; }
+    /** A push returns at once: there is space, or the reader has gone and
+     *  the push throws closed_port_exception. */
+    bool writable() const noexcept
+    {
+        return space_avail() > 0 || read_closed();
+    }
 
     /**
      * Graph-wide cancellation: poison the stream. Every blocked (or about

@@ -31,14 +31,33 @@ bool kernel::ready() const
             return false;
         }
     }
+    return outputs_writable();
+}
+
+bool kernel::outputs_writable() const
+{
     for( const auto &p : output )
     {
-        if( p.space_avail() == 0 )
+        if( !p.writable() )
         {
             return false;
         }
     }
     return true;
+}
+
+bool kernel::any_input_ready() const
+{
+    bool all_drained = true;
+    for( const auto &p : input )
+    {
+        if( p.size() > 0 )
+        {
+            return true;
+        }
+        all_drained = all_drained && p.drained();
+    }
+    return all_drained;
 }
 
 } /** end namespace raft **/

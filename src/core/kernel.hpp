@@ -47,8 +47,10 @@ public:
      *
      * Contract for the cooperative pool scheduler: one invocation should
      * consume at most one element per input port and produce at most one
-     * per output port (all standard kernels obey this; the default
-     * thread-per-kernel scheduler imposes no such limit).
+     * per output port, or check for space before each further push, so
+     * that what ready() saw covers the whole run() (all standard kernels
+     * obey this; the default thread-per-kernel scheduler imposes no such
+     * limit).
      */
     virtual kstatus run() = 0;
 
@@ -84,10 +86,15 @@ public:
     ///@}
 
     /**
-     * Pool-scheduler readiness hint: true when one run() invocation can
-     * make progress without indefinite blocking. Default: every input port
-     * has at least one element (or is drained, so run() terminates
-     * immediately) and every output port has space.
+     * Pool-scheduler readiness contract: true only when one run() will
+     * neither block on input nor on output. The pool keeps a ready kernel
+     * on its worker for up to a fixed quantum of run() calls, re-checking
+     * ready() between them; a run() that blocks holds that worker, and
+     * with one worker the peer that would unblock it never runs.
+     * Default: every input port has at least one element (or is drained,
+     * so run() terminates immediately) and every output port has space.
+     * Override when run() touches fewer ports than it declares (adapters
+     * that serve one lane per call) or buffers input across calls.
      */
     virtual bool ready() const;
 
@@ -149,6 +156,16 @@ public:
     }
 
     bool internally_allocated() const noexcept { return internal_alloc_; }
+
+protected:
+    /** @name building blocks for ready() overrides */
+    ///@{
+    /** Every output has space or has lost its reader. */
+    bool outputs_writable() const;
+    /** Some input holds an element, or every input has drained: the test
+     *  for kernels that take from whichever input has data (merges). */
+    bool any_input_ready() const;
+    ///@}
 
 private:
     std::size_t id_;

@@ -114,29 +114,42 @@ public:
 template <class T> class merge : public kernel
 {
 public:
-    explicit merge( const std::size_t width ) : kernel()
+    explicit merge( const std::size_t width )
+        : kernel(), out_( output.addPort<T>( "0" ) )
     {
         for( std::size_t i = 0; i < width; ++i )
         {
-            input.addPort<T>( std::to_string( i ) );
+            lanes_.push_back( &input.addPort<T>( std::to_string( i ) ) );
         }
-        output.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
+        const auto n     = lanes_.size();
         bool moved       = false;
         bool all_drained = true;
-        /** the lanes are the only inputs, in declaration order **/
-        for( auto &p : input )
+        for( std::size_t k = 0; k < n; ++k )
         {
+            /** only the first push may wait for space: ready() vouches
+             *  for one slot, not one per lane **/
+            if( moved && !out_.writable() )
+            {
+                break;
+            }
+            auto &p = *lanes_[ ( first_ + k ) % n ];
             T v{};
             if( p.template typed<T>().try_pop( v ) )
             {
-                output[ "0" ].push<T>( std::move( v ) );
+                out_.push<T>( std::move( v ) );
                 moved = true;
             }
             all_drained = all_drained && p.drained();
+        }
+        /** rotate the first lane, so a run cut short by a full output
+         *  does not always favour the same lane **/
+        if( ++first_ >= n )
+        {
+            first_ = 0;
         }
         if( moved )
         {
@@ -153,17 +166,13 @@ public:
 
     bool ready() const override
     {
-        for( const auto &p : input )
-        {
-            if( p.size() > 0 || p.drained() )
-            {
-                return true;
-            }
-        }
-        return false;
+        return any_input_ready() && outputs_writable();
     }
 
 private:
+    port &out_;
+    std::vector<port *> lanes_;
+    std::size_t first_{ 0 };
     detail::backoff idle_;
 };
 

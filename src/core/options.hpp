@@ -179,11 +179,6 @@ struct run_options
     ///@{
     scheduler_kind scheduler{ scheduler_kind::thread_per_kernel };
     std::size_t pool_threads{ 0 };  /**< 0 = hardware_concurrency          */
-    /** Pool scheduler: consecutive run() invocations per dispatch while
-     *  the kernel stays ready. Larger batches keep a kernel's working
-     *  set cache-hot (the cache-conscious scheduling direction the paper
-     *  anticipates via Agrawal et al. [3]). */
-    std::size_t pool_batch_size{ 1 };
     const mapping::machine_desc *machine{ nullptr }; /**< null = detect   */
     bool pin_threads{ false };      /**< pin kernels per mapper decision   */
     ///@}

@@ -181,8 +181,33 @@ kstatus split_kernel::run()
 
 bool split_kernel::ready() const
 {
-    const auto &in = const_cast<split_kernel *>( this )->input[ "0" ];
-    return in.size() > 0 || in.drained();
+    const auto &in = input[ "0" ];
+    if( in.size() == 0 )
+    {
+        return in.drained(); /** run() stops **/
+    }
+    if( pending_choice_ )
+    {
+        /** strict dealing: the element waits for this one lane (an
+         *  elastic resize since the choice was made resets it in run()) **/
+        return outs_cache_[ *pending_choice_ % cached_active_ ]->writable();
+    }
+    /** a lane with space takes the element; a closed one is skipped, or
+     *  ends the split once every lane is closed **/
+    const auto n = active();
+    std::size_t lane = 0;
+    for( const auto &p : output )
+    {
+        if( lane++ == n )
+        {
+            break;
+        }
+        if( p.writable() )
+        {
+            return true;
+        }
+    }
+    return false;
 }
 
 /* ------------------------------------------------------------------ */
@@ -269,15 +294,9 @@ kstatus reduce_kernel::run()
 
 bool reduce_kernel::ready() const
 {
-    /** the lanes are the only inputs, in declaration order **/
-    for( const auto &p : input )
-    {
-        if( p.size() > 0 || p.drained() )
-        {
-            return true;
-        }
-    }
-    return false;
+    /** merge() never blocks, but a run() with nowhere to go only pauses,
+     *  and the pool would repeat it for the whole quantum **/
+    return any_input_ready() && outputs_writable();
 }
 
 /* ------------------------------------------------------------------ */

@@ -243,6 +243,7 @@ public:
         return fifo_ ? fifo_->space_avail() : 0;
     }
     bool drained() const { return fifo_ == nullptr || fifo_->drained(); }
+    bool writable() const { return fifo_ != nullptr && fifo_->writable(); }
     ///@}
 
     /**

@@ -367,10 +367,14 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
         } );
     }
 
+    /** run() calls per dispatch while the kernel stays ready: long enough
+     *  to amortize the sweep, short enough that one hot kernel cannot
+     *  starve its consumers of a worker for long. A constant, not an
+     *  option: ready() (kernel.hpp) guarantees no run() in it blocks. **/
+    constexpr std::size_t quantum = 64;
     const auto worker_count = std::max<std::size_t>(
         1, opts.pool_threads != 0 ? opts.pool_threads
                                   : std::thread::hardware_concurrency() );
-    const auto batch = std::max<std::size_t>( 1, opts.pool_batch_size );
 
     auto worker = [ & ]() {
         if( telemetry::tracing() )
@@ -411,35 +415,32 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
                     {
                         runtime::inject::maybe_throw( "kernel.run",
                                                       names[ i ] );
-                        /** batched dispatch: amortize scheduling cost
-                         *  and keep the kernel's working set cache-hot
-                         *  while it stays ready **/
+                        /** one dispatch keeps the kernel running while
+                         *  ready() holds, up to the quantum: the scan,
+                         *  the state CAS and the telemetry clock pair are
+                         *  paid once per quantum, and the kernel's stream
+                         *  segment stays cache-hot **/
                         auto *const probe = k->probe();
-                        const auto batch_t0 =
-                            probe != nullptr ? detail::now_ns()
-                                             : std::int64_t{ 0 };
+                        const auto t0 = probe != nullptr
+                                            ? detail::now_ns()
+                                            : std::int64_t{ 0 };
                         std::size_t executed = 0;
-                        for( std::size_t b = 0; b < batch; ++b )
+                        do
                         {
-                            const auto st = k->run();
                             ++executed;
-                            if( st == raft::stop )
+                            if( k->run() == raft::stop )
                             {
                                 finished = true;
                                 break;
                             }
-                            if( b + 1 < batch && !k->ready() )
-                            {
-                                break;
-                            }
-                        }
-                        if( probe != nullptr && executed != 0 )
+                        } while( executed < quantum && k->ready() );
+                        if( probe != nullptr )
                         {
-                            /** batch-granular accounting: one clock pair
+                            /** quantum-granular accounting: one clock pair
                              *  per dispatch, runs counted exactly **/
-                            const auto batch_t1 = detail::now_ns();
-                            const auto dt = static_cast<std::uint64_t>(
-                                batch_t1 - batch_t0 );
+                            const auto t1 = detail::now_ns();
+                            const auto dt =
+                                static_cast<std::uint64_t>( t1 - t0 );
                             probe->busy_ns->add( dt );
                             probe->runs->add( executed );
                             probe->run_hist->observe( dt / executed );
@@ -449,7 +450,7 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
                                  *  scheduling quantum, not per run() **/
                                 telemetry::span( probe->trace_name,
                                                  telemetry::cat::kernel,
-                                                 batch_t0, batch_t1 );
+                                                 t0, t1 );
                             }
                         }
                     }

@@ -10,7 +10,8 @@
  *    Kernels block inside port operations; end-of-stream surfaces as
  *    closed_port_exception, which the scheduler treats as completion.
  *  - pool_scheduler: cooperative worker pool — N workers sweep the kernel
- *    set and invoke run() once per ready kernel. A research alternative
+ *    set; a ready kernel keeps its worker while ready() holds, up to a
+ *    fixed quantum of run() calls. A research alternative
  *    ("straightforward to substitute with new algorithms").
  *
  * When a kernel completes, the scheduler closes its output streams for

@@ -1,0 +1,209 @@
+/**
+ * Cooperative pool scheduler: one dispatch keeps a ready kernel running
+ * for a fixed quantum of run() calls, which is only safe while every
+ * kernel's ready() means "one run() will not block". These tests pin both
+ * halves: the quantum is visible in the order of run() calls, and a merge
+ * whose output fills cannot hold the only worker.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <exception>
+#include <future>
+#include <iterator>
+#include <memory>
+#include <numeric>
+#include <thread>
+#include <vector>
+
+#include <core/kernels/functional.hpp>
+#include <raft.hpp>
+
+namespace {
+
+using i64 = std::int64_t;
+
+/** A map and the sink's storage, shared with the thread running exe(). */
+struct graph_run
+{
+    raft::map m;
+    std::vector<i64> out;
+};
+
+/**
+ * Runs g->m.exe( o ) on its own thread and waits up to `limit`. Returns
+ * false on timeout: the run is then left behind on a detached thread
+ * (which keeps `g` alive) so the test fails instead of hanging the suite.
+ * An exception from exe() is rethrown here.
+ */
+bool exe_within( const std::shared_ptr<graph_run> &g,
+                 const raft::run_options &o,
+                 const std::chrono::seconds limit )
+{
+    auto done   = std::make_shared<std::promise<void>>();
+    auto result = done->get_future();
+    std::thread runner( [ g, o, done ]() {
+        try
+        {
+            g->m.exe( o );
+            done->set_value();
+        }
+        catch( ... )
+        {
+            done->set_exception( std::current_exception() );
+        }
+    } );
+    if( result.wait_for( limit ) != std::future_status::ready )
+    {
+        runner.detach();
+        return false;
+    }
+    runner.join();
+    result.get();
+    return true;
+}
+
+/** K with every run() appended to a shared log under a fixed id. The pool
+ *  runs one kernel at a time per worker, so with one worker the log needs
+ *  no lock. */
+template <class K> class logged final : public K
+{
+public:
+    template <class... Args>
+    logged( std::vector<int> &log, const int id, Args &&...args )
+        : K( std::forward<Args>( args )... ), log_( log ), id_( id )
+    {
+    }
+
+    raft::kstatus run() override
+    {
+        log_.push_back( id_ );
+        return K::run();
+    }
+
+private:
+    std::vector<int> &log_;
+    int id_;
+};
+
+} /** end anonymous namespace **/
+
+/** Two sources into a merge whose output fills: with one worker, a merge
+ *  that is dispatched while its output is full blocks in push, and the
+ *  sink that would drain it never gets the worker. */
+TEST( pool_scheduler, merge_with_full_output_does_not_hold_the_only_worker )
+{
+    const std::size_t per_source = 5000;
+    auto g = std::make_shared<graph_run>();
+    auto *mg = raft::kernel::make<raft::merge<i64>>( 2 );
+    for( const char *lane : { "0", "1" } )
+    {
+        g->m.link( raft::kernel::make<raft::generate<i64>>(
+                       per_source, []( std::size_t i ) { return i64( i ); } ),
+                   mg, lane );
+    }
+    g->m.link( mg, raft::kernel::make<raft::write_each<i64>>(
+                       std::back_inserter( g->out ) ) );
+    raft::run_options o;
+    o.scheduler      = raft::scheduler_kind::pool;
+    o.pool_threads   = 1;
+    o.dynamic_resize = false;
+    ASSERT_TRUE( exe_within( g, o, std::chrono::seconds( 5 ) ) )
+        << "exe() did not return within 5 s";
+    ASSERT_EQ( g->out.size(), 2 * per_source );
+    /** each source's 0..n-1 arrives once: the sum is twice the series **/
+    const auto sum = std::accumulate( g->out.begin(), g->out.end(), i64{ 0 } );
+    EXPECT_EQ( sum, i64( per_source * ( per_source - 1 ) ) );
+}
+
+/** One worker, a three-kernel chain: a dispatch keeps the kernel running
+ *  while it stays ready, so the running kernel changes about three times
+ *  per quantum, not once per element. */
+TEST( pool_scheduler, quantum_keeps_a_ready_kernel_running )
+{
+    const std::size_t n = 8192;
+    std::vector<int> log;
+    log.reserve( 8 * n );
+    std::vector<i64> out;
+    raft::map m;
+    auto p = m.link(
+        raft::kernel::make<logged<raft::generate<i64>>>(
+            log, 0, n, []( std::size_t i ) { return i64( i ); } ),
+        raft::kernel::make<logged<raft::lambdak<i64>>>(
+            log, 1, 1, 1, []( raft::Port &in, raft::Port &o ) {
+                auto v = in[ "0" ].pop_s<i64>();
+                o[ "0" ].push<i64>( *v * 2 );
+            } ) );
+    m.link( &( p.dst ), raft::kernel::make<logged<raft::write_each<i64>>>(
+                            log, 2, std::back_inserter( out ) ) );
+    raft::run_options o;
+    o.scheduler    = raft::scheduler_kind::pool;
+    o.pool_threads = 1;
+    m.exe( o );
+
+    ASSERT_EQ( out.size(), n );
+    for( std::size_t i = 0; i < n; i += 97 )
+    {
+        EXPECT_EQ( out[ i ], i64( 2 * i ) );
+    }
+    std::size_t switches = 0;
+    for( std::size_t i = 1; i < log.size(); ++i )
+    {
+        switches += log[ i ] != log[ i - 1 ] ? 1 : 0;
+    }
+    EXPECT_LT( switches, n / 8 ) << log.size() << " run() calls";
+}
+
+/** Replicas behind split/reduce on one worker with fixed-size streams:
+ *  the adapters' ready() must not report ready when a strict deal waits
+ *  on a full lane or when reduce's output is full, or the quantum spins
+ *  the worker on run() calls that cannot move anything. */
+TEST( pool_scheduler, one_worker_drives_split_and_reduce )
+{
+    class doubler final : public raft::kernel
+    {
+    public:
+        doubler()
+        {
+            input.addPort<i64>( "0" );
+            output.addPort<i64>( "0" );
+        }
+        raft::kstatus run() override
+        {
+            auto v = input[ "0" ].pop_s<i64>();
+            output[ "0" ].push<i64>( 2 * *v );
+            return raft::proceed;
+        }
+        bool clone_supported() const override { return true; }
+        raft::kernel *clone() const override { return new doubler(); }
+    };
+    const std::size_t n = 20000;
+    for( const auto strategy : { raft::split_kind::round_robin,
+                                 raft::split_kind::least_utilized } )
+    {
+        auto g = std::make_shared<graph_run>();
+        auto p = g->m.link<raft::out>(
+            raft::kernel::make<raft::generate<i64>>(
+                n, []( std::size_t i ) { return i64( i ); } ),
+            raft::kernel::make<doubler>() );
+        g->m.link<raft::out>( &( p.dst ),
+                              raft::kernel::make<raft::write_each<i64>>(
+                                  std::back_inserter( g->out ) ) );
+        raft::run_options o;
+        o.scheduler         = raft::scheduler_kind::pool;
+        o.pool_threads      = 1;
+        o.dynamic_resize    = false;
+        o.replication_width = 3;
+        o.split_strategy    = strategy;
+        ASSERT_TRUE( exe_within( g, o, std::chrono::seconds( 5 ) ) )
+            << "exe() did not return within 5 s";
+        ASSERT_EQ( g->out.size(), n );
+        std::sort( g->out.begin(), g->out.end() );
+        for( std::size_t i = 0; i < n; ++i )
+        {
+            ASSERT_EQ( g->out[ i ], i64( 2 * i ) );
+        }
+    }
+}
