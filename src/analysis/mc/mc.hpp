@@ -210,28 +210,24 @@ public:
 
     T exchange( T v, const std::memory_order o = std::memory_order_seq_cst )
     {
-        auto *e = detail::g;
-        e->arrive( action{ e->tid(), op::rmw, this, name_,
-                           static_cast<int>( o ),
-                           detail::traced_value( v ) } );
-        e->flush_own();
-        const T old = mem_;
-        mem_        = v;
-        e->bump_commit();
-        return old;
+        return rmw( v, o, [ v ]( const T ) { return v; } );
     }
 
     T fetch_add( T d, const std::memory_order o = std::memory_order_seq_cst )
     {
-        auto *e = detail::g;
-        e->arrive( action{ e->tid(), op::rmw, this, name_,
-                           static_cast<int>( o ),
-                           detail::traced_value( d ) } );
-        e->flush_own();
-        const T old = mem_;
-        mem_        = static_cast<T>( mem_ + d );
-        e->bump_commit();
-        return old;
+        return rmw( d, o, [ d ]( const T old ) {
+            return static_cast<T>( old + d );
+        } );
+    }
+
+    T fetch_or( T b, const std::memory_order o = std::memory_order_seq_cst )
+    {
+        return rmw( b, o, [ b ]( const T old ) { return old | b; } );
+    }
+
+    T fetch_and( T b, const std::memory_order o = std::memory_order_seq_cst )
+    {
+        return rmw( b, o, [ b ]( const T old ) { return old & b; } );
     }
 
     bool compare_exchange_strong(
@@ -254,6 +250,21 @@ public:
     }
 
 private:
+    /** a read-modify-write: drains the thread's buffer, then commits */
+    template <class F>
+    T rmw( const T operand, const std::memory_order o, F next )
+    {
+        auto *e = detail::g;
+        e->arrive( action{ e->tid(), op::rmw, this, name_,
+                           static_cast<int>( o ),
+                           detail::traced_value( operand ) } );
+        e->flush_own();
+        const T old = mem_;
+        mem_        = next( old );
+        e->bump_commit();
+        return old;
+    }
+
     T mem_;
     const char *name_;
     /** per-thread buffered (not yet committed) stores to this object, in

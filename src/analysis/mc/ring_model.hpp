@@ -20,14 +20,28 @@
  *     gate store on the monitor;
  *   - abort() poisons the stream; the flag is checked only on blocked
  *     paths, and *before* the drained (write_closed + empty) check, so a
- *     cancelled graph can never be mistaken for a cleanly drained one.
+ *     cancelled graph can never be mistaken for a cleanly drained one;
+ *   - park/notify: a blocked end loads its sequence word, raises its bit
+ *     in waiters_ (an RMW), issues the heavy barrier and re-checks; only
+ *     if it still cannot proceed does it wait for the sequence word to
+ *     change (a retry_guard that watches nothing else, so a lost wake-up
+ *     is a deadlock). The waker, right after each index publication, runs
+ *     the light barrier and one relaxed load of waiters_, and only when
+ *     the peer's bit is up clears it and bumps the peer's sequence word.
+ *     close_write(), abort() and a completed resize wake unconditionally.
+ *     In the symmetric fallback the waker's seq_cst fence and relaxed load
+ *     are modelled as one seq_cst fetch_or( 0 ) — on TSO the same drain
+ *     followed by a load — and the parker's fence after its RMW is left
+ *     out, since the RMW already drained its buffer;
  *
  * Differences from the real thing are strictly reductions: int elements,
  * power-of-two capacities up to max_cap, no signals/telemetry/timeout (the
  * model monitor parks on a retry_guard instead of a bounded spin — the
- * checker's deadlock detector replaces the timeout).
+ * checker's deadlock detector replaces the timeout), no spin phase before
+ * an end parks (spinning only re-runs the attempt), and the close_read
+ * wake-up is left out (the model producer never sees a closed reader).
  *
- * Three knobs re-introduce real bugs for the checker to catch:
+ * Four knobs re-introduce real bugs for the checker to catch:
  *
  *   broken_dekker      — the symmetric fallback's seq_cst store/load pair
  *                        weakens to release/acquire. Under bounded store
@@ -45,6 +59,12 @@
  *                        execution where abort() lands before close_write()
  *                        can then return EOS to a consumer that should
  *                        have observed the cancellation.
+ *   no_park_barrier    — the parker skips its heavy barrier. The waker's
+ *                        index store can then sit in its store buffer
+ *                        while it reads waiters_ without the parker's bit,
+ *                        and the parker's re-check misses the store: both
+ *                        sides conclude the other will act, and the
+ *                        parked end sleeps forever (a deadlock).
  */
 #pragma once
 
@@ -62,6 +82,16 @@ struct ring_opts
     bool broken_abort_order{ false };
     bool no_heavy_barrier{ false };
     bool symmetric{ false }; /**< fallback when membarrier is missing */
+    bool no_park_barrier{ false };
+    /** a stream without the resize handshake (set_auto_resize( false )):
+     *  the ends skip enter/exit; no try_resize() may run */
+    bool static_stream{ false };
+    /** a blocked end waits on a retry_guard over everything it read, and
+     *  nobody checks waiter bits or wakes it. Any relevant commit resumes
+     *  it — a superset of the wake-ups park/notify delivers — so proofs
+     *  about the elements stay sound and far smaller; the park handshake
+     *  itself is proved on its own (park_notify_* tests). */
+    bool abstract_blocking{ false };
 };
 
 class model_ring
@@ -83,7 +113,8 @@ public:
           gate_( false, "gate" ), prod_op_( false, "prod_op" ),
           cons_op_( false, "cons_op" ),
           write_closed_( false, "write_closed" ),
-          aborted_( false, "aborted" )
+          aborted_( false, "aborted" ), waiters_( 0U, "waiters" ),
+          prod_seq_( 0U, "prod_seq" ), cons_seq_( 0U, "cons_seq" )
     {
         for( auto &d : data_ )
         {
@@ -107,6 +138,9 @@ public:
         cons_op_.raw_reset( false );
         write_closed_.raw_reset( false );
         aborted_.raw_reset( false );
+        waiters_.raw_reset( 0U );
+        prod_seq_.raw_reset( 0U );
+        cons_seq_.raw_reset( 0U );
         cached_head_ = 0U;
         cached_tail_ = 0U;
     }
@@ -149,6 +183,7 @@ public:
             const auto m = mask_.load( std::memory_order_relaxed );
             data_[ t & m ].store( v, std::memory_order_relaxed );
             tail_.store( t + 1U, std::memory_order_release );
+            notify( cons_bit );
             ok = true;
         }
         exit_prod();
@@ -170,16 +205,31 @@ public:
             {
                 return false;
             }
-            g.wait();
+            if( o_.abstract_blocking )
+            {
+                g.wait();
+                continue;
+            }
+            park( prod_bit, prod_seq_, [ this ]() {
+                return tail_.load( std::memory_order_relaxed ) -
+                               head_.load( std::memory_order_acquire ) <
+                           capacity_.load( std::memory_order_relaxed ) ||
+                       aborted_.load( std::memory_order_acquire );
+            } );
         }
     }
 
     void close_write()
     {
         write_closed_.store( true, std::memory_order_release );
+        wake( cons_bit );
     }
 
-    void abort() { aborted_.store( true, std::memory_order_release ); }
+    void abort()
+    {
+        aborted_.store( true, std::memory_order_release );
+        wake( prod_bit | cons_bit );
+    }
     ///@}
 
     /** @name consumer end */
@@ -195,6 +245,7 @@ public:
             const auto m = mask_.load( std::memory_order_relaxed );
             out          = data_[ h & m ].load( std::memory_order_relaxed );
             head_.store( h + 1U, std::memory_order_release );
+            notify( prod_bit );
             got = true;
         }
         exit_cons();
@@ -240,7 +291,17 @@ public:
             {
                 return s;
             }
-            g.wait();
+            if( o_.abstract_blocking )
+            {
+                g.wait();
+                continue;
+            }
+            park( cons_bit, cons_seq_, [ this ]() {
+                return tail_.load( std::memory_order_acquire ) !=
+                           head_.load( std::memory_order_relaxed ) ||
+                       write_closed_.load( std::memory_order_acquire ) ||
+                       aborted_.load( std::memory_order_acquire );
+            } );
         }
     }
     ///@}
@@ -297,6 +358,7 @@ public:
         capacity_.store( new_cap, std::memory_order_relaxed );
         mask_.store( new_cap - 1U, std::memory_order_relaxed );
         gate_.store( false, std::memory_order_release );
+        wake( prod_bit | cons_bit );
         return true;
     }
     ///@}
@@ -360,6 +422,10 @@ private:
 
     void enter( mc::atomic<bool> &op )
     {
+        if( o_.static_stream )
+        {
+            return;
+        }
         retry_guard g;
         for( ;; )
         {
@@ -389,10 +455,85 @@ private:
         }
     }
 
+    /** @name park/notify (mirrors ring_buffer::block/notify/wake) */
+    ///@{
+    static constexpr unsigned prod_bit = 1U;
+    static constexpr unsigned cons_bit = 2U;
+
+    void notify( const unsigned peer )
+    {
+        if( o_.abstract_blocking )
+        {
+            return;
+        }
+        unsigned w = 0U;
+        if( !symmetric() )
+        {
+            mc::light_barrier();
+            w = waiters_.load( std::memory_order_relaxed );
+        }
+        else
+        {
+            w = waiters_.fetch_or( 0U, std::memory_order_seq_cst );
+        }
+        if( ( w & peer ) != 0U )
+        {
+            wake( peer );
+        }
+    }
+
+    void wake( const unsigned ends )
+    {
+        if( o_.abstract_blocking )
+        {
+            return;
+        }
+        waiters_.fetch_and( ~ends, std::memory_order_relaxed );
+        if( ( ends & prod_bit ) != 0U )
+        {
+            prod_seq_.fetch_add( 1U, std::memory_order_release );
+        }
+        if( ( ends & cons_bit ) != 0U )
+        {
+            cons_seq_.fetch_add( 1U, std::memory_order_release );
+        }
+    }
+
+    template <class Ready>
+    void park( const unsigned self, mc::atomic<unsigned> &seq, Ready ready )
+    {
+        const auto s = seq.load( std::memory_order_acquire );
+        waiters_.fetch_or( self, std::memory_order_seq_cst );
+        if( !symmetric() && !o_.no_park_barrier )
+        {
+            mc::heavy_barrier();
+        }
+        if( ready() )
+        {
+            waiters_.fetch_and( ~self, std::memory_order_relaxed );
+            return;
+        }
+        /** std::atomic::wait: wakes only on a change of seq */
+        retry_guard g;
+        while( seq.load( std::memory_order_acquire ) == s )
+        {
+            g.wait();
+        }
+    }
+    ///@}
+
     void enter_prod() { enter( prod_op_ ); }
-    void exit_prod() { prod_op_.store( false, std::memory_order_release ); }
+    void exit_prod() { exit( prod_op_ ); }
     void enter_cons() { enter( cons_op_ ); }
-    void exit_cons() { cons_op_.store( false, std::memory_order_release ); }
+    void exit_cons() { exit( cons_op_ ); }
+
+    void exit( mc::atomic<bool> &op )
+    {
+        if( !o_.static_stream )
+        {
+            op.store( false, std::memory_order_release );
+        }
+    }
     ///@}
 
     const ring_opts o_;
@@ -407,6 +548,9 @@ private:
     mc::atomic<bool> cons_op_;
     mc::atomic<bool> write_closed_;
     mc::atomic<bool> aborted_;
+    mc::atomic<unsigned> waiters_;
+    mc::atomic<unsigned> prod_seq_;
+    mc::atomic<unsigned> cons_seq_;
 
     /** thread-private shadow indices — plain on purpose: their safety is
      *  exactly what the gate protocol must provide */

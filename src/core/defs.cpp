@@ -31,6 +31,15 @@ std::string demangle( const std::type_info &ti )
     return std::string( ti.name() );
 }
 
+#if defined( __GNUC__ ) && !defined( __clang__ ) && __GNUC__ >= 11
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+void seq_cst_fence() noexcept { __atomic_thread_fence( __ATOMIC_SEQ_CST ); }
+#if defined( __GNUC__ ) && !defined( __clang__ ) && __GNUC__ >= 11
+#pragma GCC diagnostic pop
+#endif
+
 #if defined( RAFT_HAVE_MEMBARRIER )
 
 namespace {

@@ -1,14 +1,17 @@
 /**
  * defs.hpp — foundational constants and small utilities shared across the
  * RaftLib reproduction: cache-line geometry, monotonic clock helpers,
- * progressive backoff for blocking queue operations, power-of-two math and
- * type-name demangling for diagnostics.
+ * progressive backoff for polling loops, the monitor's doorbell,
+ * power-of-two math and type-name demangling for diagnostics.
  */
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <typeinfo>
@@ -28,11 +31,22 @@ inline std::int64_t now_ns() noexcept
         .count();
 }
 
+/** One spin-wait hint to the CPU (a no-op where there is none). */
+inline void cpu_relax() noexcept
+{
+#if defined( __x86_64__ ) || defined( __i386__ )
+    __builtin_ia32_pause();
+#endif
+}
+
 /**
- * Progressive backoff used while a queue end waits for space/data: spin a
- * little, then yield, then sleep briefly. The sleep keeps a blocked side
- * cheap when threads outnumber cores, where yielding promptly matters for
- * forward progress.
+ * Progressive backoff for a polling loop that has no word to park on: the
+ * shared-memory link's ends, the split/reduce adapters' idle sweeps and
+ * the pool's idle workers. Spin a little, then yield, then sleep 50 µs per
+ * retry. The sleep keeps an idle poller cheap when threads outnumber
+ * cores; it also bounds how late the poller notices new work. Stream rings
+ * do not use it: a blocked ring end spins, then parks until its peer wakes
+ * it (ring_buffer, "Blocking: spin, then park").
  */
 class backoff
 {
@@ -41,9 +55,7 @@ public:
     {
         if( count_ < spin_limit )
         {
-#if defined( __x86_64__ ) || defined( __i386__ )
-            __builtin_ia32_pause();
-#endif
+            cpu_relax();
         }
         else if( count_ < yield_limit )
         {
@@ -65,6 +77,53 @@ private:
 };
 
 /**
+ * A wake-up call for one thread that sleeps with a cap (the monitor).
+ * The sleeper calls arm() before it looks for work, then either disarm()
+ * or wait_for( cap ). ring() is one load while the sleeper is awake; only
+ * the first ring after arm() takes the lock and wakes it. The sleeper's
+ * arm() and its later look for work, against the ringer's publication of
+ * that work and its load in ring(), form a Dekker pair: both sides must
+ * use seq_cst, so that either the ringer sees the sleeper armed or the
+ * sleeper sees the work.
+ */
+class doorbell
+{
+public:
+    void arm() noexcept { armed_.store( true, std::memory_order_seq_cst ); }
+
+    void disarm() noexcept
+    {
+        armed_.store( false, std::memory_order_relaxed );
+    }
+
+    void ring() noexcept
+    {
+        if( armed_.load( std::memory_order_seq_cst ) &&
+            armed_.exchange( false, std::memory_order_seq_cst ) )
+        {
+            std::lock_guard<std::mutex> lk( m_ );
+            rung_ = true;
+            cv_.notify_one();
+        }
+    }
+
+    /** Sleep until ring() or `cap`, then disarm. */
+    void wait_for( const std::chrono::nanoseconds cap )
+    {
+        std::unique_lock<std::mutex> lk( m_ );
+        cv_.wait_for( lk, cap, [ this ]() { return rung_; } );
+        rung_ = false;
+        armed_.store( false, std::memory_order_relaxed );
+    }
+
+private:
+    std::atomic<bool> armed_{ false };
+    bool rung_{ false }; /**< guarded by m_ */
+    std::mutex m_;
+    std::condition_variable cv_;
+};
+
+/**
  * @name asymmetric barrier
  * The heavy half of an asymmetric Dekker handshake: heavy_barrier() makes
  * every thread of the process execute a full memory barrier (Linux
@@ -80,6 +139,10 @@ bool heavy_barrier_available() noexcept;
 /** Returns false if the barrier could not be issued (never expected once
  *  registration succeeded); the caller must then not rely on it. */
 bool heavy_barrier() noexcept;
+/** std::atomic_thread_fence( seq_cst ), for the fallback where the heavy
+ *  barrier is missing. Out of line: GCC rejects an inlined fence under
+ *  -fsanitize=thread, which does not model fences. */
+void seq_cst_fence() noexcept;
 ///@}
 
 /** Smallest power of two >= v (v == 0 yields 1). */

@@ -38,6 +38,10 @@ template <class T> class peek_range_t;
 template <class T> class write_window_t;
 template <class T> class read_window_t;
 
+namespace detail {
+class doorbell;
+} /** end namespace detail **/
+
 /**
  * Type-erased FIFO interface. The runtime never needs to know the element
  * type: occupancy monitoring, dynamic resizing, element transfer between
@@ -107,6 +111,10 @@ public:
      *  queue instead of throwing demand_exceeds_capacity_exception. */
     virtual void set_auto_resize( bool enabled ) noexcept = 0;
     virtual bool auto_resize() const noexcept             = 0;
+    /** Monitor registration: the queue rings `bell` when its writer starts
+     *  to block and when its reader posts a resize request — the two
+     *  events that let a monitor rule fire. nullptr detaches. */
+    virtual void set_doorbell( detail::doorbell *bell ) noexcept = 0;
     ///@}
 
     /** Consume n elements without reading them (type-erased so ports can

@@ -25,6 +25,7 @@ void monitor::register_stream( fifo_base *f, stream_info info )
     e.initial_capacity = f->capacity();
     entries_.push_back( std::move( e ) );
     f->set_auto_resize( opts_.dynamic_resize );
+    f->set_doorbell( opts_.dynamic_resize ? &bell_ : nullptr );
 }
 
 void monitor::start()
@@ -48,6 +49,7 @@ void monitor::stop()
     {
         return;
     }
+    bell_.ring();
     if( thread_.joinable() )
     {
         thread_.join();
@@ -60,19 +62,52 @@ void monitor::loop()
     {
         telemetry::name_thread( "monitor" );
     }
-    while( running_.load( std::memory_order_acquire ) )
+    /** elastic and supervisor rules read rates every tick **/
+    const bool every_delta = elastic_ != nullptr || supervisor_ != nullptr;
+    const auto idle_cap = std::max<std::int64_t>( delta_ns_, idle_cap_ns );
+    /** idle deadlines advance by idle_cap from each other, not from the
+     *  late wake-up, and a late tick is caught up at once: sleep
+     *  overshoot does not lower the idle rate **/
+    auto due = detail::now_ns();
+    for( ;; )
     {
-        tick();
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds( delta_ns_ ) );
+        /** arm before the running_ check and the scan: a ring from stop()
+         *  or a queue after this point cuts the wait short **/
+        bell_.arm();
+        if( !running_.load( std::memory_order_seq_cst ) )
+        {
+            break;
+        }
+        if( tick() || every_delta )
+        {
+            bell_.disarm();
+            std::this_thread::sleep_for(
+                std::chrono::nanoseconds( delta_ns_ ) );
+            continue;
+        }
+        const auto now = detail::now_ns();
+        due += idle_cap;
+        if( due < now - idle_cap )
+        {
+            due = now; /** a period or more behind: restart the schedule **/
+        }
+        if( due > now )
+        {
+            bell_.wait_for( std::chrono::nanoseconds( due - now ) );
+        }
+        else
+        {
+            bell_.disarm();
+        }
     }
     /** final sample so short runs still record statistics **/
     tick();
 }
 
-void monitor::tick()
+bool monitor::tick()
 {
     const auto now = detail::now_ns();
+    bool may_fire  = false;
     ticks_.fetch_add( 1, std::memory_order_relaxed );
     for( auto &e : entries_ )
     {
@@ -132,6 +167,7 @@ void monitor::tick()
         if( req > cap )
         {
             apply_resize( req );
+            may_fire = true;
             continue;
         }
 
@@ -140,6 +176,8 @@ void monitor::tick()
          * geometrically up to the configured cap.
          */
         const auto wbs = f.write_blocked_since();
+        may_fire =
+            may_fire || ( wbs != 0 && cap < opts_.max_queue_capacity );
         if( wbs != 0 && now - wbs >= 3 * delta_ns_ &&
             cap < opts_.max_queue_capacity && f.space_avail() == 0 )
         {
@@ -176,6 +214,7 @@ void monitor::tick()
     {
         supervisor_->on_tick( now );
     }
+    return may_fire;
 }
 
 void monitor::collect( runtime::perf_snapshot &out, const double wall ) const

@@ -12,6 +12,15 @@
  * Beyond resizing, the same thread performs the low-overhead statistics
  * sampling (§4.1): per tick and stream, one occupancy load and one
  * histogram increment.
+ *
+ * Cadence: the thread ticks every δ only while a rule can fire — a
+ * writer is blocked on a queue that may still grow, or a reader's resize
+ * request is pending — or while an elastic controller or a supervisor is
+ * attached (they measure rates every tick). Otherwise it sleeps on its
+ * doorbell for max(δ, 1 ms). A registered queue rings the doorbell when
+ * its writer starts to block or its reader posts a request, so the 3δ rule
+ * still measures from the blocked-since stamp. Statistics are sampled
+ * about every max(δ, 1 ms) when idle.
  */
 #pragma once
 
@@ -21,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/defs.hpp"
 #include "core/fifo.hpp"
 #include "core/options.hpp"
 #include "runtime/stats.hpp"
@@ -55,7 +65,8 @@ public:
     monitor &operator=( const monitor & ) = delete;
 
     /** Register before start(); enables reader-overflow growth on f when
-     *  dynamic resizing is configured. */
+     *  dynamic resizing is configured, and then hands f this monitor's
+     *  doorbell: the monitor must outlive every blocking operation on f. */
     void register_stream( fifo_base *f, stream_info info );
 
     /** Attach the elastic controller (runtime/elastic/) before start();
@@ -88,8 +99,9 @@ public:
         return ticks_.load( std::memory_order_relaxed );
     }
 
-    /** One sampling pass over every stream (exposed for tests). */
-    void tick();
+    /** One sampling pass over every stream (exposed for tests). Returns
+     *  true when a resize rule may fire on the next tick. */
+    bool tick();
 
 private:
     struct entry
@@ -112,7 +124,11 @@ private:
     std::thread thread_;
     std::atomic<bool> running_{ false };
     std::atomic<std::uint64_t> ticks_{ 0 };
+    /** the longest idle sleep: statistics sample at about 1 kHz **/
+    static constexpr std::int64_t idle_cap_ns = 1'000'000;
     std::int64_t delta_ns_{ 10'000 };
+    /** rung by registered queues and by stop() **/
+    detail::doorbell bell_;
     elastic::controller *elastic_{ nullptr };
     runtime::supervisor *supervisor_{ nullptr };
 };

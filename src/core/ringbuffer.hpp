@@ -61,16 +61,49 @@
  * x86), and the monitor stores the gate seq_cst. Registration happens once
  * per process; the choice is made at construction, per ring.
  *
+ * Blocking: spin, then park. A blocked end retries 64 times with a CPU
+ * pause, then parks on its own 32-bit sequence word with
+ * std::atomic::wait. Waking it is a second Dekker pair, made asymmetric
+ * the same way: the parking side is already slow, so it pays the barrier,
+ * and the publishing side, which runs on every operation, pays one
+ * relaxed load.
+ *
+ *   parker:  s = seq.load(acquire);
+ *            waiters.fetch_or(my_bit);
+ *            detail::heavy_barrier();                 (membarrier)
+ *            if (peer published / closed / aborted) { clear my_bit; retry }
+ *            seq.wait(s);
+ *   waker:   head/tail.store(..., release);
+ *            atomic_signal_fence(seq_cst);            (compiler only)
+ *            if (waiters.load(relaxed) & peer_bit)
+ *                { clear peer_bit; ++peer_seq; peer_seq.notify_one(); }
+ *
+ * The heavy barrier splits the waker's instruction stream: if its
+ * waiters load lies before that point, its index store is visible to the
+ * parker's re-check; if after, the load sees the parker's bit. Loading
+ * the sequence word before raising the bit means a wake-up that lands
+ * between the re-check and the wait changes the word, so wait() returns
+ * at once. Without membarrier both sides use seq_cst fences instead, as
+ * the resize handshake does. abort(), close_write(), close_read() and a
+ * completed resize() wake the affected ends unconditionally: those events
+ * change what a parked end waits for without a publication. The model in
+ * analysis/mc/ring_model.hpp checks this handshake for lost wake-ups.
+ *
  * Cache lines: each end's published index sits alone on its line, since
  * the opposite end reads it. Each end's handshake flag, claim depth,
  * shadow index and blocked-since stamp share a second, end-private line
- * that only the monitor reads (rarely). Storage pointers, the gate and the
- * lifecycle flags share a read-mostly line. A spinning blocked end only
- * loads its blocked-since stamp, so waiting writes no shared line.
+ * that only the monitor reads (rarely). Storage pointers, the gate, the
+ * lifecycle flags and the waiter bits share a read-mostly line. The two
+ * sequence words sit on their own cold line, written only to wake a
+ * parked end. Neither the waiter bits nor the sequence words may go on an
+ * end-private line: the peer would then read a line the other end writes
+ * on every operation.
  *
  * Blocked-end bookkeeping feeds the monitor's two trigger rules:
  *   - write_blocked_since(): writer stalled on a full queue (3δ rule),
  *   - resize_request(): reader demanded a window larger than capacity.
+ * Both ring the monitor's doorbell when they start (set_doorbell), so a
+ * monitor with nothing to do can sleep until a rule may fire.
  */
 #pragma once
 
@@ -80,6 +113,7 @@
 #include <cstdint>
 #include <new>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -156,6 +190,7 @@ public:
     void close_write() noexcept override
     {
         write_closed_.store( true, std::memory_order_release );
+        wake( cons_bit );
     }
 
     bool write_closed() const noexcept override
@@ -166,6 +201,7 @@ public:
     void close_read() noexcept override
     {
         read_closed_.store( true, std::memory_order_release );
+        wake( prod_bit );
     }
 
     bool read_closed() const noexcept override
@@ -176,6 +212,7 @@ public:
     void abort() noexcept override
     {
         aborted_.store( true, std::memory_order_release );
+        wake( prod_bit | cons_bit );
     }
 
     bool aborted() const noexcept override
@@ -268,17 +305,21 @@ public:
             resize_request_.store( 0, std::memory_order_relaxed );
         }
         gate_.store( false, std::memory_order_release );
+        /** capacity and indices moved without a publication **/
+        wake( prod_bit | cons_bit );
         return true;
     }
 
+    /** seq_cst: with the monitor's doorbell arm() it forms a Dekker pair
+     *  (see ring_doorbell) */
     std::size_t resize_request() const noexcept override
     {
-        return resize_request_.load( std::memory_order_acquire );
+        return resize_request_.load( std::memory_order_seq_cst );
     }
 
     std::int64_t write_blocked_since() const noexcept override
     {
-        return prod_.blocked_since.load( std::memory_order_acquire );
+        return prod_.blocked_since.load( std::memory_order_seq_cst );
     }
 
     std::int64_t read_blocked_since() const noexcept override
@@ -304,6 +345,11 @@ public:
     bool auto_resize() const noexcept override
     {
         return auto_resize_.load( std::memory_order_acquire );
+    }
+
+    void set_doorbell( detail::doorbell *bell ) noexcept override
+    {
+        doorbell_.store( bell, std::memory_order_release );
     }
     ///@}
 
@@ -338,6 +384,7 @@ public:
             {
                 slot.~T();
                 head_.store( h + 1, std::memory_order_release );
+                notify( prod_bit );
                 ok = true;
             }
         }
@@ -390,6 +437,7 @@ public:
                 if( done > 0 )
                 {
                     head_.store( h + done, std::memory_order_release );
+                    notify( prod_bit );
                 }
                 leave( cons_ );
                 throw;
@@ -397,6 +445,7 @@ public:
             if( done > 0 )
             {
                 head_.store( h + done, std::memory_order_release );
+                notify( prod_bit );
             }
         }
         leave( cons_ );
@@ -491,7 +540,7 @@ public:
 
     void pop( T &out, signal *sig = nullptr ) override
     {
-        detail::backoff b;
+        int spins = 0;
         for( ;; )
         {
             enter( cons_ );
@@ -508,6 +557,7 @@ public:
                 }
                 slot.~T();
                 head_.store( h + 1, std::memory_order_release );
+                notify( prod_bit );
                 leave( cons_ );
                 clear_read_block();
                 return;
@@ -516,7 +566,7 @@ public:
             throw_if_aborted_read();
             throw_if_drained();
             note_block( cons_ );
-            b.pause();
+            await_data( spins );
         }
     }
 
@@ -536,7 +586,7 @@ public:
     void recycle( const std::size_t n = 1 ) override
     {
         std::size_t remaining = n;
-        detail::backoff b;
+        int spins             = 0;
         while( remaining > 0 )
         {
             enter( cons_ );
@@ -552,17 +602,18 @@ public:
                     data_[ ( h + i ) & m ].~T();
                 }
                 head_.store( h + batch, std::memory_order_release );
+                notify( prod_bit );
                 remaining -= batch;
                 leave( cons_ );
                 clear_read_block();
-                b.reset();
+                spins = 0;
                 continue;
             }
             leave( cons_ );
             throw_if_aborted_read();
             throw_if_drained();
             note_block( cons_ );
-            b.pause();
+            await_data( spins );
         }
     }
     ///@}
@@ -588,6 +639,7 @@ public:
                 T( std::move( value ) );
             sigs_[ t & m ] = sig;
             tail_.store( t + 1, std::memory_order_release );
+            notify( cons_bit );
             ok = true;
         }
         leave( prod_ );
@@ -611,6 +663,7 @@ public:
             }
             slot.~T();
             head_.store( h + 1, std::memory_order_release );
+            notify( prod_bit );
             ok = true;
         }
         leave( cons_ );
@@ -647,6 +700,7 @@ public:
                 sigs_[ idx ] = ( sigs != nullptr ) ? sigs[ i ] : none;
             }
             tail_.store( t + k, std::memory_order_release );
+            notify( cons_bit );
         }
         leave( prod_ );
         return k;
@@ -679,6 +733,7 @@ public:
                 slot.~T();
             }
             head_.store( h + k, std::memory_order_release );
+            notify( prod_bit );
         }
         leave( cons_ );
         return k;
@@ -700,7 +755,7 @@ public:
         {
             max_n = 1;
         }
-        detail::backoff b;
+        int spins = 0;
         for( ;; )
         {
             if( read_closed() )
@@ -738,7 +793,7 @@ public:
             leave( prod_ );
             throw_if_aborted_write();
             note_block( prod_ );
-            b.pause();
+            await_space( spins );
         }
     }
 
@@ -754,6 +809,7 @@ public:
         if( n > 0 )
         {
             tail_.store( t + n, std::memory_order_release );
+            notify( cons_bit );
         }
         leave( prod_ );
     }
@@ -768,7 +824,7 @@ public:
         {
             max_n = 1;
         }
-        detail::backoff b;
+        int spins = 0;
         for( ;; )
         {
             enter( cons_ );
@@ -790,7 +846,7 @@ public:
             throw_if_aborted_read();
             throw_if_drained();
             note_block( cons_ );
-            b.pause();
+            await_data( spins );
         }
     }
 
@@ -805,6 +861,7 @@ public:
         if( n > 0 )
         {
             head_.store( h + n, std::memory_order_release );
+            notify( prod_bit );
         }
         leave( cons_ );
     }
@@ -814,7 +871,7 @@ public:
     ///@{
     T &claim_head( signal &sig ) override
     {
-        detail::backoff b;
+        int spins = 0;
         for( ;; )
         {
             enter( cons_ );
@@ -832,7 +889,7 @@ public:
             throw_if_aborted_read();
             throw_if_drained();
             note_block( cons_ );
-            b.pause();
+            await_data( spins );
         }
     }
 
@@ -842,6 +899,7 @@ public:
         const auto m = mask_.load( std::memory_order_relaxed );
         data_[ h & m ].~T();
         head_.store( h + 1, std::memory_order_release );
+        notify( prod_bit );
         leave( cons_ );
     }
 
@@ -851,7 +909,7 @@ public:
     {
         static_assert( std::is_default_constructible_v<T>,
                        "allocate_s requires a default-constructible type" );
-        detail::backoff b;
+        int spins = 0;
         for( ;; )
         {
             if( read_closed() )
@@ -874,7 +932,7 @@ public:
             leave( prod_ );
             throw_if_aborted_write();
             note_block( prod_ );
-            b.pause();
+            await_space( spins );
         }
     }
 
@@ -884,6 +942,7 @@ public:
         const auto m = mask_.load( std::memory_order_relaxed );
         sigs_[ t & m ] = sig;
         tail_.store( t + 1, std::memory_order_release );
+        notify( cons_bit );
         leave( prod_ );
     }
 
@@ -900,7 +959,7 @@ public:
                        std::uint64_t *start,
                        std::size_t *mask ) override
     {
-        detail::backoff b;
+        int spins = 0;
         for( ;; )
         {
             if( n > capacity() )
@@ -913,12 +972,21 @@ public:
                         std::to_string( capacity() ) +
                         " and dynamic resizing is disabled" );
                 }
-                /** post the overflow demand; the monitor thread grows us **/
-                resize_request_.store( detail::pow2_ceil( n ),
-                                       std::memory_order_release );
+                /** post the overflow demand; the monitor thread grows us
+                 *  and its resize() wakes this end **/
+                const auto want = detail::pow2_ceil( n );
+                if( resize_request_.exchange( want,
+                                              std::memory_order_seq_cst ) !=
+                    want )
+                {
+                    ring_doorbell();
+                }
                 throw_if_aborted_read();
                 note_block( cons_ );
-                b.pause();
+                block( cons_bit, spins, [ this, n ]() {
+                    return capacity() >= n ||
+                           aborted_.load( std::memory_order_acquire );
+                } );
                 continue;
             }
             enter( cons_ );
@@ -945,7 +1013,7 @@ public:
                     "peek_range can never be satisfied: upstream closed" );
             }
             note_block( cons_ );
-            b.pause();
+            await_data( spins, n );
         }
     }
     ///@}
@@ -986,7 +1054,7 @@ private:
     template <class Construct>
     void emplace_blocking( Construct &&construct, const signal sig )
     {
-        detail::backoff b;
+        int spins = 0;
         for( ;; )
         {
             if( read_closed() )
@@ -1004,6 +1072,7 @@ private:
                 construct( static_cast<void *>( data_ + ( t & m ) ) );
                 sigs_[ t & m ] = sig;
                 tail_.store( t + 1, std::memory_order_release );
+                notify( cons_bit );
                 leave( prod_ );
                 clear_write_block();
                 return;
@@ -1011,7 +1080,7 @@ private:
             leave( prod_ );
             throw_if_aborted_write();
             note_block( prod_ );
-            b.pause();
+            await_space( spins );
         }
     }
 
@@ -1030,9 +1099,9 @@ private:
     }
 
     /** @name abort checks — blocked paths only
-     * Cancellation poisons the stream via abort(); a blocked end notices on
-     * its next retry (the backoff sleeps at most 50 µs, so wakeup is
-     * prompt). The checks live exclusively on the would-block path: an
+     * Cancellation poisons the stream via abort(), which wakes a parked
+     * end; the end notices on its next retry. The checks live
+     * exclusively on the would-block path: an
      * operation that succeeds immediately never loads the flag, keeping the
      * disabled-path hot loop identical to the pre-fault-tolerance code.
      */
@@ -1146,20 +1215,38 @@ private:
 
     /** @name blocked-since stamps
      * note_block loads before it CASes, so an end spinning on a full or
-     * empty queue only reads its stamp after the first miss. clear_block's
+     * empty queue only reads its stamp after the first miss. The writer's
+     * 0 → stamp transition rings the monitor's doorbell: the 3δ rule can
+     * now fire. A reader's cannot, so it does not ring. clear_block's
      * load-then-conditional-store keeps the never-blocked hot path at a
      * single relaxed load; the unblock transition (cold — the end just
      * finished waiting) additionally closes the blocked tracer span when
      * this stream is being traced.
      */
     ///@{
-    static void note_block( end_state &e ) noexcept
+    void note_block( end_state &e ) noexcept
     {
         if( e.blocked_since.load( std::memory_order_relaxed ) == 0 )
         {
             std::int64_t expected = 0;
-            e.blocked_since.compare_exchange_strong(
-                expected, detail::now_ns(), std::memory_order_relaxed );
+            if( e.blocked_since.compare_exchange_strong(
+                    expected, detail::now_ns(),
+                    std::memory_order_seq_cst ) &&
+                &e == &prod_ )
+            {
+                ring_doorbell();
+            }
+        }
+    }
+
+    /** Call after a seq_cst store of what the monitor scans for (the
+     *  writer's stamp, the reader's request): the doorbell's load then
+     *  pairs with the monitor's arm(). */
+    void ring_doorbell() noexcept
+    {
+        if( auto *bell = doorbell_.load( std::memory_order_acquire ) )
+        {
+            bell->ring();
         }
     }
 
@@ -1189,14 +1276,124 @@ private:
     }
     ///@}
 
+    /** @name park/notify (see file header, "Blocking: spin, then park") */
+    ///@{
+    static constexpr std::uint32_t prod_bit = 1;
+    static constexpr std::uint32_t cons_bit = 2;
+    /** pauses before a blocked end parks **/
+    static constexpr int spin_limit = 64;
+
+    /** Waker half: call after publishing head_ (peer = prod_bit) or tail_
+     *  (peer = cons_bit). */
+    void notify( const std::uint32_t peer ) noexcept
+    {
+        if( park_light_ )
+        {
+            std::atomic_signal_fence( std::memory_order_seq_cst );
+        }
+        else
+        {
+            detail::seq_cst_fence();
+        }
+        if( ( waiters_.load( std::memory_order_relaxed ) & peer ) != 0 )
+        {
+            wake( peer );
+        }
+    }
+
+    /** Wake the parked ends named by `ends`, whether or not they are
+     *  parked: bump their sequence words so that a wait() about to start
+     *  returns at once. */
+    void wake( const std::uint32_t ends ) noexcept
+    {
+        waiters_.fetch_and( ~ends, std::memory_order_relaxed );
+        if( ( ends & prod_bit ) != 0 )
+        {
+            prod_seq_.fetch_add( 1, std::memory_order_release );
+            prod_seq_.notify_one();
+        }
+        if( ( ends & cons_bit ) != 0 )
+        {
+            cons_seq_.fetch_add( 1, std::memory_order_release );
+            cons_seq_.notify_one();
+        }
+    }
+
+    /** Parker half, one blocked retry of end `self`: spin while `spins`
+     *  is below spin_limit, then park until a wake-up unless `ready()`
+     *  (can the end proceed?) holds after the barrier. Call outside
+     *  enter()/leave(), so that a parked end never holds up resize(). */
+    template <class Ready>
+    void block( const std::uint32_t self, int &spins, Ready &&ready )
+    {
+        if( spins < spin_limit )
+        {
+            ++spins;
+            detail::cpu_relax();
+            return;
+        }
+        auto &seq    = self == prod_bit ? prod_seq_ : cons_seq_;
+        const auto s = seq.load( std::memory_order_acquire );
+        waiters_.fetch_or( self, std::memory_order_seq_cst );
+        if( !park_light_ )
+        {
+            detail::seq_cst_fence();
+        }
+        else if( !detail::heavy_barrier() )
+        {
+            /** no barrier, no safe park: nap, then retry **/
+            waiters_.fetch_and( ~self, std::memory_order_relaxed );
+            std::this_thread::sleep_for( std::chrono::microseconds( 50 ) );
+            return;
+        }
+        if( ready() )
+        {
+            waiters_.fetch_and( ~self, std::memory_order_relaxed );
+            return;
+        }
+        seq.wait( s, std::memory_order_acquire );
+    }
+
+    /** Consumer: park until `need` elements are published, or the stream
+     *  is closed or aborted. */
+    void await_data( int &spins, const std::size_t need = 1 ) noexcept
+    {
+        block( cons_bit, spins, [ this, need ]() {
+            return static_cast<std::size_t>(
+                       tail_.load( std::memory_order_acquire ) -
+                       head_.load( std::memory_order_relaxed ) ) >= need ||
+                   write_closed_.load( std::memory_order_acquire ) ||
+                   aborted_.load( std::memory_order_acquire );
+        } );
+    }
+
+    /** Producer: park until a slot is free, or the stream is closed for
+     *  reading or aborted. */
+    void await_space( int &spins ) noexcept
+    {
+        block( prod_bit, spins, [ this ]() {
+            return static_cast<std::size_t>(
+                       tail_.load( std::memory_order_relaxed ) -
+                       head_.load( std::memory_order_acquire ) ) <
+                       capacity_.load( std::memory_order_relaxed ) ||
+                   read_closed_.load( std::memory_order_acquire ) ||
+                   aborted_.load( std::memory_order_acquire );
+        } );
+    }
+    ///@}
+
     static constexpr std::int64_t park_timeout_ns = 2'000'000; /** 2 ms **/
 
-    /** read-mostly: storage (mutated only with both ends parked), the gate
-     *  and the lifecycle flags **/
+    /** read-mostly: storage (mutated only with both ends parked), the
+     *  waiter bits, the gate and the lifecycle flags **/
     alignas( cacheline_size ) T *data_{ nullptr };
     signal *sigs_{ nullptr };
     std::atomic<std::size_t> capacity_{ 0 };
     std::atomic<std::size_t> mask_{ 0 };
+    /** prod_bit / cons_bit: that end is parked or about to park **/
+    std::atomic<std::uint32_t> waiters_{ 0 };
+    /** heavy barrier available: the waker's fence is compiler-only **/
+    const bool park_light_{ detail::heavy_barrier_available() };
     std::atomic<bool> gate_{ false };
     std::atomic<std::uint8_t> handshake_{ hs_none };
     std::atomic<bool> write_closed_{ false };
@@ -1210,6 +1407,8 @@ private:
     std::atomic<std::size_t> resize_count_{ 0 };
     std::atomic<std::uint64_t> pushed_base_{ 0 };
     std::atomic<std::uint64_t> popped_base_{ 0 };
+    /** the monitor's, rung when a rule may fire (set_doorbell) **/
+    std::atomic<detail::doorbell *> doorbell_{ nullptr };
 
     /** published indices: each alone on its line (the opposite end reads
      *  it) **/
@@ -1220,6 +1419,10 @@ private:
      *  producer's of head_ **/
     end_state cons_;
     end_state prod_;
+
+    /** cold: bumped only to wake a parked end **/
+    alignas( cacheline_size ) std::atomic<std::uint32_t> prod_seq_{ 0 };
+    std::atomic<std::uint32_t> cons_seq_{ 0 };
 };
 
 } /** end namespace raft **/

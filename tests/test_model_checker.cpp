@@ -7,9 +7,11 @@
  * asymmetric pair proved exhaustively under store reordering for each
  * queue end, and all three parties at once under sequential consistency;
  * the symmetric fallback proved too), abort semantics on blocked ends,
- * abort-beats-EOS ordering — and the three deliberately broken variants
- * (weakened fallback fence, asymmetric pair without the heavy barrier,
- * swapped abort/EOS checks) that the checker must catch.
+ * abort-beats-EOS ordering, the park/notify handshake of blocked ends
+ * (proved for each end under store reordering) — and the four
+ * deliberately broken variants (weakened fallback fence, asymmetric pair
+ * without the heavy barrier, swapped abort/EOS checks, parker without its
+ * barrier) that the checker must catch.
  */
 #include <gtest/gtest.h>
 
@@ -98,7 +100,7 @@ TEST( model_checker, spsc_transfer_correct_under_sc )
      *  refresh on both ends and the EOS path, while keeping the (pruned)
      *  tree small enough to exhaust in seconds */
     constexpr int n = 2;
-    model_ring ring;
+    model_ring ring( raft::mc::ring_opts{ .abstract_blocking = true } );
     std::vector<int> popped;
     const auto r = raft::mc::explore(
         quick(),
@@ -479,7 +481,7 @@ raft::mc::result consumer_vs_resize( model_ring &ring,
  *  independent of the other's). */
 TEST( model_checker, asymmetric_handshake_proved_producer_vs_resize )
 {
-    model_ring ring;
+    model_ring ring( raft::mc::ring_opts{ .abstract_blocking = true } );
     const auto r = producer_vs_resize( ring, quick( /*store_buffer=*/1 ) );
     EXPECT_TRUE( r.ok() ) << r.summary();
     EXPECT_TRUE( r.complete ) << r.summary();
@@ -487,7 +489,7 @@ TEST( model_checker, asymmetric_handshake_proved_producer_vs_resize )
 
 TEST( model_checker, asymmetric_handshake_proved_consumer_vs_resize )
 {
-    model_ring ring;
+    model_ring ring( raft::mc::ring_opts{ .abstract_blocking = true } );
     const auto r = consumer_vs_resize( ring, quick( /*store_buffer=*/1 ) );
     EXPECT_TRUE( r.ok() ) << r.summary();
     EXPECT_TRUE( r.complete ) << r.summary();
@@ -497,7 +499,7 @@ TEST( model_checker, spsc_with_resize_proved_under_sc )
 {
     /** all three parties at once: producer, consumer and monitor race on
      *  an empty wrapped ring */
-    model_ring ring;
+    model_ring ring( raft::mc::ring_opts{ .abstract_blocking = true } );
     int got      = 0;
     const auto r = raft::mc::explore(
         quick(),
@@ -531,8 +533,8 @@ TEST( model_checker, symmetric_fallback_proved_under_store_reordering )
 {
     /** the platform fallback (seq_cst pair) on the wrapped-ring race of
      *  resize_handshake_correct_under_store_reordering, exhaustively */
-    model_ring ring( raft::mc::ring_opts{ false, false, false,
-                                          /*symmetric=*/true } );
+    model_ring ring( raft::mc::ring_opts{ .symmetric         = true,
+                                          .abstract_blocking = true } );
     const auto r = raft::mc::explore(
         quick( /*store_buffer=*/1 ),
         [ & ]
@@ -557,4 +559,121 @@ TEST( model_checker, missing_heavy_barrier_caught_under_store_reordering )
     const auto r = producer_vs_resize( ring, quick( /*store_buffer=*/1 ) );
     ASSERT_FALSE( r.ok() ) << r.summary();
     EXPECT_FALSE( r.violations.front().trace.empty() );
+}
+
+namespace {
+
+/** The producer pushes 30 into a full ring wrapped at index 1 (it
+ *  parks) while the consumer pops the oldest element, whose publication
+ *  must wake it. */
+raft::mc::result producer_parks( model_ring &ring,
+                                 const raft::mc::options &opt )
+{
+    return raft::mc::explore(
+        opt,
+        [ & ]
+        {
+            ring.reset( 2 );
+            ring.raw_seed( 1U, { 10, 20 } );
+        },
+        { [ & ]() { raft::mc::check( ring.push( 30 ), "push aborted" ); },
+          [ & ]()
+          {
+              int v = 0;
+              raft::mc::check( ring.pop( v ) == pop_status::got,
+                               "unexpected pop status" );
+              raft::mc::check( v == 10, "popped the wrong element" );
+          } },
+        holds( ring, { 20, 30 } ) );
+}
+
+/** The consumer pops from an empty ring wrapped at index 1 (it parks)
+ *  while the producer pushes 7, whose publication must wake it. */
+raft::mc::result consumer_parks( model_ring &ring,
+                                 const raft::mc::options &opt )
+{
+    return raft::mc::explore(
+        opt,
+        [ & ]
+        {
+            ring.reset( 2 );
+            ring.raw_seed( 1U, {} );
+        },
+        { [ & ]() { raft::mc::check( ring.push( 7 ), "push aborted" ); },
+          [ & ]()
+          {
+              int v = 0;
+              raft::mc::check( ring.pop( v ) == pop_status::got,
+                               "unexpected pop status" );
+              raft::mc::check( v == 7, "popped the wrong element" );
+          } },
+        holds( ring, {} ) );
+}
+
+} /** end anonymous namespace **/
+
+/** The shipped park/notify — load seq, raise the bit, heavy barrier,
+ *  re-check, wait on seq; the waker's light barrier and relaxed load of
+ *  the bits — loses no wake-up: a lost one leaves the parked end waiting
+ *  forever, which the checker reports as a deadlock. Exhaustive with one
+ *  buffered store per thread, once per parking end. */
+TEST( model_checker, park_notify_proved_producer_under_store_reordering )
+{
+    model_ring ring( raft::mc::ring_opts{ .static_stream = true } );
+    const auto r = producer_parks( ring, quick( /*store_buffer=*/1 ) );
+    EXPECT_TRUE( r.ok() ) << r.summary();
+    EXPECT_TRUE( r.complete ) << r.summary();
+}
+
+TEST( model_checker, park_notify_proved_consumer_under_store_reordering )
+{
+    model_ring ring( raft::mc::ring_opts{ .static_stream = true } );
+    const auto r = consumer_parks( ring, quick( /*store_buffer=*/1 ) );
+    EXPECT_TRUE( r.ok() ) << r.summary();
+    EXPECT_TRUE( r.complete ) << r.summary();
+}
+
+TEST( model_checker, park_notify_symmetric_fallback_proved )
+{
+    /** the seq_cst-fence fallback, same two races */
+    model_ring ring( raft::mc::ring_opts{ .symmetric     = true,
+                                          .static_stream = true } );
+    const auto p = producer_parks( ring, quick( /*store_buffer=*/1 ) );
+    EXPECT_TRUE( p.ok() ) << p.summary();
+    EXPECT_TRUE( p.complete ) << p.summary();
+    const auto c = consumer_parks( ring, quick( /*store_buffer=*/1 ) );
+    EXPECT_TRUE( c.ok() ) << c.summary();
+    EXPECT_TRUE( c.complete ) << c.summary();
+}
+
+TEST( model_checker, park_notify_close_write_wakes_consumer )
+{
+    /** EOS is a forced wake-up: close_write() bumps the consumer's
+     *  sequence word whether or not its bit is up yet */
+    model_ring ring( raft::mc::ring_opts{ .static_stream = true } );
+    const auto r = raft::mc::explore(
+        quick( /*store_buffer=*/1 ), [ & ] { ring.reset( 2 ); },
+        { [ & ]() { ring.close_write(); },
+          [ & ]()
+          {
+              int v = 0;
+              raft::mc::check( ring.pop( v ) == pop_status::eos,
+                               "unexpected pop status" );
+          } } );
+    EXPECT_TRUE( r.ok() ) << r.summary();
+    EXPECT_TRUE( r.complete ) << r.summary();
+}
+
+TEST( model_checker, missing_park_barrier_caught_under_store_reordering )
+{
+    /** without the parker's heavy barrier the producer's tail store can
+     *  hide in its buffer past the consumer's re-check while the producer
+     *  reads no waiter bit: nobody bumps the sequence word */
+    model_ring ring( raft::mc::ring_opts{ .no_park_barrier = true,
+                                          .static_stream   = true } );
+    const auto r = consumer_parks( ring, quick( /*store_buffer=*/1 ) );
+    ASSERT_FALSE( r.ok() ) << r.summary();
+    EXPECT_NE( r.violations.front().message.find( "deadlock" ),
+               std::string::npos )
+        << r.summary();
 }

@@ -1,8 +1,9 @@
 /**
  * The dynamic queue monitor (§3/§4): the 3δ write-block growth rule, the
- * reader-overflow growth rule, the shrink heuristic and statistics
- * sampling. Tests drive monitor::tick() directly where determinism
- * matters, and run the real thread where timing is the subject.
+ * reader-overflow growth rule, the shrink heuristic, statistics sampling
+ * and the on-demand cadence. Tests drive monitor::tick() directly where
+ * determinism matters, and run the real thread where timing is the
+ * subject.
  */
 #include <gtest/gtest.h>
 
@@ -250,4 +251,27 @@ TEST( monitor, background_thread_ticks )
     std::this_thread::sleep_for( 20ms );
     mon.stop();
     EXPECT_GT( mon.ticks(), 10u );
+}
+
+TEST( monitor, idle_thread_ticks_at_most_once_per_ms )
+{
+    /** nothing blocked, nothing requested: the thread sleeps on its
+     *  doorbell with a 1 ms cap instead of ticking every δ (10 µs). An
+     *  upper bound, so a loaded host cannot make it flaky. **/
+    raft::run_options opts;
+    opts.dynamic_resize = true;
+    opts.collect_stats  = true;
+    raft::monitor mon( opts );
+    raft::ring_buffer<int> q( 4 );
+    mon.register_stream( &q, info( "a", "b" ) );
+    const auto t0 = std::chrono::steady_clock::now();
+    mon.start();
+    std::this_thread::sleep_for( 50ms );
+    mon.stop();
+    const auto ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0 )
+                        .count();
+    /** one tick per elapsed ms, plus the first and the final one **/
+    EXPECT_LE( static_cast<double>( mon.ticks() ), ms + 2.0 );
+    EXPECT_GE( mon.ticks(), 2u );
 }

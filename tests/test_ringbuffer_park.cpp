@@ -1,0 +1,228 @@
+/**
+ * Blocking ends that park (ring_buffer, "Blocking: spin, then park"): a
+ * bursty SPSC stress whose idle gaps outlast the spin phase, the forced
+ * wake-ups (abort, close_write, close_read) of a parked end, and a parked
+ * writer that an idle monitor grows its ring for.
+ */
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdint>
+#include <future>
+#include <random>
+#include <thread>
+
+#include <core/monitor.hpp>
+#include <core/ringbuffer.hpp>
+
+using namespace std::chrono_literals;
+using raft::ring_buffer;
+
+namespace {
+
+/** Long enough past the spin phase (64 pauses) that the end has parked. */
+constexpr auto park_settle = 20ms;
+
+/** Run `body` on a thread and wait for it up to `bound`; on a timeout
+ *  abort `q` so the thread can be joined, and report false. */
+template <class Body>
+bool finishes_within( ring_buffer<std::uint64_t> &q,
+                      const std::chrono::milliseconds bound, Body body )
+{
+    auto done = std::async( std::launch::async, body );
+    if( done.wait_for( bound ) == std::future_status::ready )
+    {
+        done.get();
+        return true;
+    }
+    q.abort();
+    done.wait();
+    return false;
+}
+
+/** True when the parked end running as `blocked` returns within 100 ms
+ *  of `t0`; otherwise `unblock()` (another forced wake-up) lets the test
+ *  join it instead of hanging. */
+template <class Unblock>
+bool woke_within( std::future<void> &blocked,
+                  const std::chrono::steady_clock::time_point t0,
+                  Unblock unblock )
+{
+    const auto ok = blocked.wait_until( t0 + 100ms ) ==
+                    std::future_status::ready;
+    if( !ok )
+    {
+        unblock();
+    }
+    blocked.get();
+    return ok;
+}
+
+/** Wait until the end has noted its stall, then until it has parked. */
+template <class Since> void until_parked( Since blocked_since )
+{
+    while( blocked_since() == 0 )
+    {
+        std::this_thread::yield();
+    }
+    std::this_thread::sleep_for( park_settle );
+}
+
+} /** end anonymous namespace **/
+
+TEST( ringbuffer_park, bursty_spsc_delivers_in_order )
+{
+    /** bursts of up to 16 elements through a 4-slot ring, separated by
+     *  random sleeps that outlast the spin phase: both ends park and are
+     *  woken over and over, through every blocking entry point **/
+    constexpr std::uint64_t n = 4000;
+    ring_buffer<std::uint64_t> q( 4 );
+    std::uint64_t received = 0;
+    bool in_order          = true;
+    const bool finished = finishes_within( q, 5s, [ & ]() {
+        std::thread producer( [ & ]() {
+            std::mt19937 rng( 7 );
+            try
+            {
+                for( std::uint64_t i = 0; i < n; ++i )
+                {
+                    if( i % 3 == 1 )
+                    {
+                        *q.claim_tail() = i;
+                        q.publish_tail( raft::none );
+                    }
+                    else
+                    {
+                        q.push( i );
+                    }
+                    if( rng() % 16 == 0 )
+                    {
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds( rng() % 300 ) );
+                    }
+                }
+                q.close_write();
+            }
+            catch( const raft::stream_aborted_exception & )
+            {
+            }
+        } );
+        std::mt19937 rng( 11 );
+        try
+        {
+            for( ;; )
+            {
+                std::uint64_t v = 0;
+                if( received % 3 == 2 )
+                {
+                    raft::signal sig = raft::none;
+                    v                = q.claim_head( sig );
+                    q.consume_head();
+                }
+                else
+                {
+                    q.pop( v );
+                }
+                in_order = in_order && v == received;
+                ++received;
+                if( rng() % 16 == 0 )
+                {
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds( rng() % 300 ) );
+                }
+            }
+        }
+        catch( const raft::closed_port_exception & )
+        {
+        }
+        catch( const raft::stream_aborted_exception & )
+        {
+        }
+        producer.join();
+    } );
+    EXPECT_TRUE( finished ) << "lost wake-up: " << received << " of " << n
+                            << " delivered after 5 s";
+    EXPECT_TRUE( in_order );
+    EXPECT_EQ( received, n );
+}
+
+TEST( ringbuffer_park, abort_wakes_parked_pop_and_push )
+{
+    ring_buffer<int> empty( 2 );
+    ring_buffer<int> full( 2 );
+    full.push( 1 );
+    full.push( 2 );
+    auto reader = std::async( std::launch::async, [ & ]() {
+        int v = 0;
+        EXPECT_THROW( empty.pop( v ), raft::stream_aborted_exception );
+    } );
+    auto writer = std::async( std::launch::async, [ & ]() {
+        EXPECT_THROW( full.push( 3 ), raft::stream_aborted_exception );
+    } );
+    until_parked( [ & ]() { return empty.read_blocked_since(); } );
+    until_parked( [ & ]() { return full.write_blocked_since(); } );
+    const auto t0 = std::chrono::steady_clock::now();
+    empty.abort();
+    full.abort();
+    EXPECT_TRUE(
+        woke_within( reader, t0, [ & ]() { empty.close_write(); } ) );
+    EXPECT_TRUE( woke_within( writer, t0, [ & ]() { full.close_read(); } ) );
+}
+
+TEST( ringbuffer_park, close_write_wakes_parked_pop )
+{
+    ring_buffer<int> q( 2 );
+    auto reader = std::async( std::launch::async, [ & ]() {
+        int v = 0;
+        EXPECT_THROW( q.pop( v ), raft::closed_port_exception );
+    } );
+    until_parked( [ & ]() { return q.read_blocked_since(); } );
+    const auto t0 = std::chrono::steady_clock::now();
+    q.close_write();
+    EXPECT_TRUE( woke_within( reader, t0, [ & ]() { q.abort(); } ) );
+}
+
+TEST( ringbuffer_park, close_read_wakes_parked_push )
+{
+    ring_buffer<int> q( 2 );
+    q.push( 1 );
+    q.push( 2 );
+    auto writer = std::async( std::launch::async, [ & ]() {
+        EXPECT_THROW( q.push( 3 ), raft::closed_port_exception );
+    } );
+    until_parked( [ & ]() { return q.write_blocked_since(); } );
+    const auto t0 = std::chrono::steady_clock::now();
+    q.close_read();
+    EXPECT_TRUE( woke_within( writer, t0, [ & ]() { q.abort(); } ) );
+}
+
+TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
+{
+    /** the monitor sleeps on its doorbell while nothing is blocked; the
+     *  writer's stall rings it, the 3δ rule grows the ring, and the
+     *  completed resize wakes the parked writer **/
+    raft::run_options opts;
+    opts.dynamic_resize = true;
+    opts.collect_stats  = true;
+    raft::monitor mon( opts );
+    ring_buffer<std::uint64_t> q( 2 );
+    mon.register_stream( &q, raft::monitor::stream_info{
+                                 "a", "b", "0", "0", "u64" } );
+    q.push( 1 );
+    q.push( 2 );
+    mon.start();
+    std::this_thread::sleep_for( 5ms ); /** monitor goes idle **/
+    const bool finished = finishes_within( q, 50ms, [ & ]() {
+        try
+        {
+            q.push( 3 );
+        }
+        catch( const raft::stream_aborted_exception & )
+        {
+        }
+    } );
+    mon.stop();
+    EXPECT_TRUE( finished ) << "writer still blocked after 50 ms";
+    EXPECT_GE( q.resize_count(), 1u );
+    EXPECT_EQ( q.size(), 3u );
+}
