@@ -13,9 +13,10 @@
  *     <= 1%, which also bounds anything the disabled sites could cost);
  *   - metrics:  telemetry enabled with tracing off — registry wiring,
  *     per-kernel service accounting, occupancy gauges;
- *   - full:     metrics + tracer rings + per-run spans;
- *   - thread-scheduler metrics cost: the per-run() timing path (the pool
- *     rows above bill at batch granularity), recorded but not gated.
+ *   - full:     metrics + tracer rings + one span per dispatch;
+ *   - thread-scheduler metrics cost: the same accounting on the thread
+ *     scheduler, whose dispatches are up to 64 run() calls long like the
+ *     pool's, recorded but not gated.
  *
  * Methodology: the pipeline runs on the single-worker pool scheduler
  * (deterministic kernel interleaving — the 2-thread ping-pong of the
@@ -25,16 +26,18 @@
  * converge to the true floor of each arm; medians of per-pair ratios do
  * not at this noise level.
  *
- * `--quick` emits one JSON object (checked in as BENCH_telemetry.json and
- * smoke-validated by ctest -L bench_smoke). `--trace-out PATH` makes the
+ * `--quick` emits one JSON object with the host it ran on (checked in as
+ * BENCH_telemetry.json and smoke-validated by ctest -L bench_smoke). `--trace-out PATH` makes the
  * last full-telemetry rep export its Chrome trace so CI can validate it.
  */
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <raft.hpp>
@@ -137,12 +140,33 @@ ab_result interleaved_ab( const int per_arm, BaseFn base, TestFn test )
     return r;
 }
 
+std::string cpu_model()
+{
+    std::ifstream f( "/proc/cpuinfo" );
+    std::string line;
+    while( std::getline( f, line ) )
+    {
+        if( line.rfind( "model name", 0 ) == 0 )
+        {
+            const auto colon = line.find( ':' );
+            return line.substr( line.find_first_not_of( " \t", colon + 1 ) );
+        }
+    }
+    return "unknown";
+}
+
 void print_quick_json( const ab_result &off, const ab_result &metrics,
                        const ab_result &full, const ab_result &thr )
 {
     std::printf( "{\n" );
     std::printf( "  \"telemetry\":\n  {\n" );
     std::printf( "    \"bench\": \"telemetry_ab\",\n" );
+    std::printf( "    \"host\": {\n" );
+    std::printf( "      \"cpu_model\": \"%s\",\n", cpu_model().c_str() );
+    std::printf( "      \"nproc\": %u,\n",
+                 std::thread::hardware_concurrency() );
+    std::printf( "      \"compiler\": \"%s\"\n", __VERSION__ );
+    std::printf( "    },\n" );
     std::printf( "    \"items\": %zu,\n", items );
     std::printf( "    \"disabled_overhead\": {\n" );
     std::printf( "      \"plain_wall_s\": %.4f,\n", off.base_wall );

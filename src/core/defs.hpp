@@ -41,12 +41,12 @@ inline void cpu_relax() noexcept
 
 /**
  * Progressive backoff for a polling loop that has no word to park on: the
- * shared-memory link's ends, the split/reduce adapters' idle sweeps and
- * the pool's idle workers. Spin a little, then yield, then sleep 50 µs per
- * retry. The sleep keeps an idle poller cheap when threads outnumber
- * cores; it also bounds how late the poller notices new work. Stream rings
- * do not use it: a blocked ring end spins, then parks until its peer wakes
- * it (ring_buffer, "Blocking: spin, then park").
+ * shared-memory link's ends and the split/reduce adapters' idle sweeps.
+ * Spin a little, then yield, then sleep 50 µs per retry. The sleep keeps
+ * an idle poller cheap when threads outnumber cores; it also bounds how
+ * late the poller notices new work. Stream rings and the pool's idle
+ * workers do not use it: they spin, then park until a peer wakes them
+ * (ring_buffer, "Blocking: spin, then park"; pool_scheduler::execute).
  */
 class backoff
 {

@@ -1,8 +1,12 @@
 #include "core/scheduler.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "core/defs.hpp"
@@ -19,310 +23,417 @@
 
 namespace raft {
 
-namespace detail {
-
-void close_kernel_streams( kernel &k )
-{
-    for( auto &p : k.output )
-    {
-        if( p.bound() )
-        {
-            p.raw().close_write();
-        }
-    }
-    for( auto &p : k.input )
-    {
-        if( p.bound() )
-        {
-            p.raw().close_read();
-        }
-    }
-}
-
-void exec_context::fail( const kernel &k, const std::string &what )
-{
-    fail_named( k.name(), what );
-}
-
-void exec_context::fail_named( const std::string &name,
-                               const std::string &what )
-{
-    {
-        const std::lock_guard<std::mutex> lock( mutex_ );
-        failures_.push_back( failure_info{ name, what } );
-    }
-    cancel();
-}
-
-void exec_context::cancel()
-{
-    if( cancelled.exchange( true, std::memory_order_acq_rel ) )
-    {
-        return;
-    }
-    if( telemetry::metrics_on() )
-    {
-        telemetry::graph_cancellations_total().add();
-    }
-    if( telemetry::tracing() )
-    {
-        telemetry::instant_str( "graph_cancel",
-                                telemetry::cat::scheduler );
-    }
-    if( kernels == nullptr )
-    {
-        return;
-    }
-    /** raise termination on the shared bus (all kernels see one bus) **/
-    for( kernel *k : *kernels )
-    {
-        if( k->bus() != nullptr )
-        {
-            k->bus()->raise( raft::term );
-            break;
-        }
-    }
-    /** poison every stream: blocked peers wake with
-     *  stream_aborted_exception instead of waiting on data that will
-     *  never arrive. Each stream is bound to an output and an input
-     *  port; abort() is idempotent, so sweeping both sides is fine. **/
-    for( kernel *k : *kernels )
-    {
-        for( auto &p : k->output )
-        {
-            if( p.bound() )
-            {
-                p.raw().abort();
-            }
-        }
-        for( auto &p : k->input )
-        {
-            if( p.bound() )
-            {
-                p.raw().abort();
-            }
-        }
-    }
-}
-
-void exec_context::throw_if_failed()
-{
-    std::vector<failure_info> f;
-    {
-        const std::lock_guard<std::mutex> lock( mutex_ );
-        f.swap( failures_ );
-    }
-    if( !f.empty() )
-    {
-        throw graph_error( std::move( f ) );
-    }
-}
-
 namespace {
 
-/** Sleep `d`, waking early if the graph is cancelled meanwhile. */
-void cancellable_sleep( exec_context &ctx, const std::chrono::nanoseconds d )
+using detail::now_ns;
+
+/** Per-kernel dispatch state for one execute() call. */
+struct slot
 {
-    const auto deadline = now_ns() + d.count();
-    while( !ctx.cancelled.load( std::memory_order_acquire ) )
+    enum : int
     {
-        const auto remaining = deadline - now_ns();
-        if( remaining <= 0 )
+        idle,
+        running,
+        done
+    };
+
+    kernel *k{ nullptr };
+    /** restart deadline (steady ns) armed by a supervised restart, 0 when
+     *  none; touched only by the thread that holds the kernel **/
+    std::int64_t retry_at{ 0 };
+    /** pool claim: idle, running or done **/
+    std::atomic<int> state{ idle };
+};
+
+enum class outcome
+{
+    idle,    /**< not ready, nothing ran (pool only)               */
+    waiting, /**< restart deadline not reached, nothing ran         */
+    ran,     /**< made progress; dispatch the kernel again          */
+    done     /**< finished, failed or cancelled; streams are closed */
+};
+
+/**
+ * Shared state of one execute() call: the slots, the failures and the
+ * sleeping workers. The first terminal failure (or the watchdog) cancels
+ * the graph: raft::term is raised on the bus, every stream is aborted so
+ * blocked push/pop/window claims wake with stream_aborted_exception, and
+ * every sleeping worker is woken.
+ *
+ * A sleeping worker waits for `epoch` to move. Wake-ups bump it under
+ * `wake_mutex`, so a wait that read the epoch before a bump returns at
+ * once. `sleepers` counts parked pool workers (pool_scheduler::execute).
+ */
+struct exec_context
+{
+    exec_context( const std::vector<kernel *> &ks, runtime::supervisor *s )
+        : sup( s ), slots( ks.size() )
+    {
+        for( std::size_t i = 0; i < ks.size(); ++i )
+        {
+            slots[ i ].k = ks[ i ];
+        }
+    }
+
+    bool cancelled() const noexcept
+    {
+        return cancelled_.load( std::memory_order_acquire );
+    }
+
+    /** Record a terminal failure for `name` and cancel the graph. */
+    void fail( const std::string &name, const std::string &what )
+    {
+        {
+            const std::lock_guard<std::mutex> lock( failures_mutex );
+            failures.push_back( failure_info{ name, what } );
+        }
+        cancel();
+    }
+
+    void cancel()
+    {
+        if( cancelled_.exchange( true, std::memory_order_acq_rel ) )
         {
             return;
         }
-        std::this_thread::sleep_for( std::chrono::nanoseconds(
-            std::min<std::int64_t>( remaining, 1'000'000 ) ) );
+        if( telemetry::metrics_on() )
+        {
+            telemetry::graph_cancellations_total().add();
+        }
+        if( telemetry::tracing() )
+        {
+            telemetry::instant_str( "graph_cancel",
+                                    telemetry::cat::scheduler );
+        }
+        /** all kernels share one bus **/
+        const auto bus = std::find_if(
+            slots.begin(), slots.end(),
+            []( const slot &s ) { return s.k->bus() != nullptr; } );
+        if( bus != slots.end() )
+        {
+            bus->k->bus()->raise( raft::term );
+        }
+        /** abort() is idempotent, so sweeping both ends of every stream
+         *  is fine **/
+        for( auto &s : slots )
+        {
+            for( auto *ports : { &s.k->output, &s.k->input } )
+            {
+                for( auto &p : *ports )
+                {
+                    if( p.bound() )
+                    {
+                        p.raw().abort();
+                    }
+                }
+            }
+        }
+        wake( true );
     }
+
+    /** Supervisor verdict on a failed run(): arm the restart deadline
+     *  (outcome::ran) or record a terminal failure (outcome::done). */
+    outcome restart_or_fail( slot &s, const std::string &what )
+    {
+        if( sup != nullptr && !cancelled() )
+        {
+            const auto v = sup->on_failure( *s.k, what );
+            if( v.restart )
+            {
+                s.k->on_restart();
+                s.retry_at = now_ns() + v.backoff.count();
+                return outcome::ran;
+            }
+        }
+        fail( s.k->name(), what );
+        return outcome::done;
+    }
+
+    /** Run body( i ) on `count` threads, join them, then throw
+     *  graph_error aggregating every recorded failure, if any. */
+    template <class Body>
+    void run_workers( const std::size_t count, Body body )
+    {
+        if( sup != nullptr )
+        {
+            sup->set_canceller( [ this ]( const std::string &reason ) {
+                fail( "<watchdog>", reason );
+            } );
+        }
+        std::vector<std::thread> threads;
+        threads.reserve( count );
+        for( std::size_t i = 0; i < count; ++i )
+        {
+            threads.emplace_back( body, i );
+        }
+        for( auto &t : threads )
+        {
+            t.join();
+        }
+        if( sup != nullptr )
+        {
+            sup->clear_canceller();
+        }
+        const std::lock_guard<std::mutex> lock( failures_mutex );
+        if( !failures.empty() )
+        {
+            throw graph_error( std::move( failures ) );
+        }
+    }
+
+    /** Sleep until the epoch moves past `seen` or `deadline` (steady ns)
+     *  passes. cancel() moves the epoch. */
+    void wait( const std::uint64_t seen, const std::int64_t deadline )
+    {
+        const auto until = std::chrono::steady_clock::time_point(
+            std::chrono::nanoseconds( deadline ) );
+        std::unique_lock<std::mutex> lk( wake_mutex );
+        wake_cv.wait_until( lk, until, [ & ]() {
+            return epoch.load( std::memory_order_relaxed ) != seen;
+        } );
+    }
+
+    void wake( const bool all )
+    {
+        {
+            const std::lock_guard<std::mutex> lk( wake_mutex );
+            epoch.fetch_add( 1, std::memory_order_release );
+        }
+        if( all )
+        {
+            wake_cv.notify_all();
+        }
+        else
+        {
+            wake_cv.notify_one();
+        }
+    }
+
+    /** Waker half of the park handshake (pool_scheduler::execute): a
+     *  compiler fence and one relaxed load while nobody sleeps. */
+    void wake_sleeper()
+    {
+        if( light )
+        {
+            std::atomic_signal_fence( std::memory_order_seq_cst );
+        }
+        else
+        {
+            detail::seq_cst_fence();
+        }
+        if( sleepers.load( std::memory_order_relaxed ) != 0 )
+        {
+            wake( false );
+        }
+    }
+
+    runtime::supervisor *const sup;
+    std::vector<slot> slots;
+    std::mutex failures_mutex;
+    std::vector<failure_info> failures;
+
+    /** heavy barrier available: a waker's fence is compiler-only **/
+    const bool light{ detail::heavy_barrier_available() };
+    alignas( cacheline_size ) std::atomic<std::uint32_t> sleepers{ 0 };
+    alignas( cacheline_size ) std::atomic<std::uint64_t> epoch{ 0 };
+    std::mutex wake_mutex;
+    std::condition_variable wake_cv;
+
+private:
+    std::atomic<bool> cancelled_{ false };
+};
+
+/** Up to dispatch_budget run() calls (only while ready() holds, with
+ *  `while_ready`), the exception ladder, and one telemetry bill: busy ns,
+ *  the exact run count, the mean run() time into the run-seconds
+ *  histogram and, when tracing, one span. */
+outcome run_budget( slot &s, exec_context &ctx, const bool while_ready )
+{
+    kernel &k            = *s.k;
+    auto *const probe    = k.probe();
+    const auto t0        = probe != nullptr ? now_ns() : std::int64_t{ 0 };
+    std::size_t executed = 0;
+    auto result          = outcome::ran;
+    try
+    {
+        /** kernel::name() builds a string (demangle + id for unnamed
+         *  kernels): only with injection armed **/
+        if( runtime::inject::enabled() )
+        {
+            runtime::inject::maybe_throw( "kernel.run", k.name() );
+        }
+        do
+        {
+            ++executed;
+            if( k.run() == raft::stop )
+            {
+                result = outcome::done;
+                break;
+            }
+        } while( executed < detail::dispatch_budget &&
+                 ( !while_ready || k.ready() ) );
+    }
+    catch( const closed_port_exception & )
+    {
+        result = outcome::done; /** normal end-of-stream **/
+    }
+    catch( const stream_aborted_exception &e )
+    {
+        /** silent while the graph is being torn down; an externally
+         *  poisoned stream (fault injection) is this kernel's terminal
+         *  failure and starts the cancellation itself **/
+        if( !ctx.cancelled() )
+        {
+            ctx.fail( k.name(), e.what() );
+        }
+        result = outcome::done;
+    }
+    catch( const std::exception &e )
+    {
+        result = ctx.restart_or_fail( s, e.what() );
+    }
+    catch( ... )
+    {
+        result = ctx.restart_or_fail( s, "unknown exception" );
+    }
+    if( probe != nullptr && executed != 0 )
+    {
+        const auto t1 = now_ns();
+        const auto dt = static_cast<std::uint64_t>( t1 - t0 );
+        probe->busy_ns->add( dt );
+        probe->runs->add( executed );
+        probe->run_hist->observe( dt / executed );
+        if( telemetry::tracing() )
+        {
+            telemetry::span( probe->trace_name, telemetry::cat::kernel, t0,
+                             t1 );
+        }
+    }
+    return result;
 }
 
 /**
- * Classify one escaped exception from kernel k's run():
- *  - restart granted by the supervisor → true (caller re-enters run())
- *  - terminal → false, failure recorded, graph cancelled
+ * One dispatch of slot s's kernel, the only one on both schedulers.
+ * raft::term, cancellation and the restart deadline are checked once,
+ * before the first run(). A kernel that is done has its streams closed
+ * here: outputs for writing (end-of-stream propagates downstream), inputs
+ * for reading (blocked upstream producers terminate instead of
+ * deadlocking).
  */
-bool handle_kernel_failure( kernel &k, exec_context &ctx,
-                            const std::string &what )
+outcome dispatch( slot &s, exec_context &ctx, const bool while_ready )
 {
-    if( ctx.sup != nullptr &&
-        !ctx.cancelled.load( std::memory_order_acquire ) )
+    kernel &k   = *s.k;
+    auto result = outcome::done;
+    if( !ctx.cancelled() &&
+        ( k.bus() == nullptr || !k.bus()->termination_requested() ) )
     {
-        const auto v = ctx.sup->on_failure( k, what );
-        if( v.restart )
+        if( s.retry_at != 0 )
         {
-            cancellable_sleep( ctx, v.backoff );
-            if( !ctx.cancelled.load( std::memory_order_acquire ) )
+            if( now_ns() < s.retry_at )
             {
-                k.on_restart();
-                return true;
+                return outcome::waiting;
             }
-            return false;
+            s.retry_at = 0;
+        }
+        if( while_ready && !k.ready() )
+        {
+            return outcome::idle;
+        }
+        result = run_budget( s, ctx, while_ready );
+    }
+    if( result == outcome::done )
+    {
+        for( auto &p : k.output )
+        {
+            if( p.bound() )
+            {
+                p.raw().close_write();
+            }
+        }
+        for( auto &p : k.input )
+        {
+            if( p.bound() )
+            {
+                p.raw().close_read();
+            }
         }
     }
-    ctx.fail( k, what );
-    return false;
+    return result;
 }
 
 } /** end anonymous namespace **/
-
-void kernel_loop( kernel &k, exec_context &ctx )
-{
-    /** telemetry session attaches the probe before the scheduler starts;
-     *  untelemetered runs see a null pointer and none of the clock or
-     *  counter traffic below **/
-    auto *const probe = k.probe();
-    const auto life_start =
-        probe != nullptr ? now_ns() : std::int64_t{ 0 };
-    /** kernel::name() builds a string (demangle + id for unnamed
-     *  kernels): resolve it once, not per run() **/
-    const std::string name = k.name();
-    if( probe != nullptr && telemetry::tracing() )
-    {
-        telemetry::name_thread( name );
-    }
-    for( ;; ) /** restart loop (supervised runs re-enter here) **/
-    {
-        try
-        {
-            for( ;; )
-            {
-                if( k.bus() != nullptr && k.bus()->termination_requested() )
-                {
-                    break;
-                }
-                runtime::inject::maybe_throw( "kernel.run", name );
-                if( probe != nullptr )
-                {
-                    /** service-time accounting: runs, busy ns, and the
-                     *  per-invocation duration histogram feed the
-                     *  raft_kernel_* series (§4.1 service rates) **/
-                    const auto t0 = now_ns();
-                    const auto st = k.run();
-                    const auto dt =
-                        static_cast<std::uint64_t>( now_ns() - t0 );
-                    probe->busy_ns->add( dt );
-                    probe->runs->add( 1 );
-                    probe->run_hist->observe( dt );
-                    if( st == raft::stop )
-                    {
-                        break;
-                    }
-                }
-                else if( k.run() == raft::stop )
-                {
-                    break;
-                }
-            }
-        }
-        catch( const closed_port_exception & )
-        {
-            /** normal end-of-stream control flow **/
-        }
-        catch( const stream_aborted_exception &e )
-        {
-            /** cancellation wake-up — silent when the graph is already
-             *  being torn down; an externally poisoned stream (fault
-             *  injection) counts as this kernel's terminal failure and
-             *  starts the cancellation itself **/
-            if( !ctx.cancelled.load( std::memory_order_acquire ) )
-            {
-                ctx.fail( k, e.what() );
-            }
-        }
-        catch( const std::exception &e )
-        {
-            if( handle_kernel_failure( k, ctx, e.what() ) )
-            {
-                continue;
-            }
-        }
-        catch( ... )
-        {
-            if( handle_kernel_failure( k, ctx, "unknown exception" ) )
-            {
-                continue;
-            }
-        }
-        break;
-    }
-    close_kernel_streams( k );
-    if( probe != nullptr )
-    {
-        /** whole-lifetime span: run + blocked time on this thread **/
-        telemetry::span( probe->trace_name, telemetry::cat::kernel,
-                         life_start, now_ns() );
-    }
-}
-
-namespace {
-
-void pin_to_core( [[maybe_unused]] const unsigned core_id )
-{
-#if defined( __linux__ )
-    cpu_set_t set;
-    CPU_ZERO( &set );
-    CPU_SET( core_id % std::max( 1u, std::thread::hardware_concurrency() ),
-             &set );
-    (void) pthread_setaffinity_np( pthread_self(), sizeof( set ), &set );
-#endif
-}
-
-} /** end anonymous namespace **/
-
-} /** end namespace detail **/
 
 /* ------------------------------------------------------------------ */
 /* thread-per-kernel (default)                                          */
 /* ------------------------------------------------------------------ */
 
+/**
+ * One worker bound to each kernel dispatches it until it is done; its
+ * run() may block. A restart deadline is waited out on the graph's epoch,
+ * so cancel() ends the wait early.
+ */
 void thread_scheduler::execute( const std::vector<kernel *> &kernels,
                                 const run_options &opts,
                                 const mapping::assignment *assign,
                                 const mapping::machine_desc &machine )
 {
     (void) machine;
-    detail::exec_context ctx;
-    ctx.kernels = &kernels;
-    ctx.sup     = sup_;
-    if( sup_ != nullptr )
-    {
-        sup_->set_canceller( [ &ctx ]( const std::string &reason ) {
-            ctx.fail_named( "<watchdog>", reason );
-        } );
-    }
-    std::vector<std::thread> threads;
-    threads.reserve( kernels.size() );
-    for( std::size_t i = 0; i < kernels.size(); ++i )
-    {
-        kernel *k = kernels[ i ];
-        const unsigned core =
-            ( assign != nullptr && i < assign->core_of.size() )
-                ? assign->core_of[ i ]
-                : 0u;
-        const bool pin = opts.pin_threads && assign != nullptr;
-        threads.emplace_back( [ k, core, pin, &ctx ]() {
-            if( pin )
+    exec_context ctx( kernels, sup_ );
+    ctx.run_workers( kernels.size(), [ & ]( const std::size_t i ) {
+#if defined( __linux__ )
+        if( opts.pin_threads && assign != nullptr &&
+            i < assign->core_of.size() )
+        {
+            cpu_set_t set;
+            CPU_ZERO( &set );
+            CPU_SET( assign->core_of[ i ] %
+                         std::max( 1u, std::thread::hardware_concurrency() ),
+                     &set );
+            (void) pthread_setaffinity_np( pthread_self(), sizeof( set ),
+                                           &set );
+        }
+#endif
+        auto &s = ctx.slots[ i ];
+        if( s.k->probe() != nullptr && telemetry::tracing() )
+        {
+            telemetry::name_thread( s.k->name() );
+        }
+        for( auto r = outcome::ran; r != outcome::done; )
+        {
+            const auto seen = ctx.epoch.load( std::memory_order_acquire );
+            r               = dispatch( s, ctx, false );
+            if( r == outcome::waiting )
             {
-                detail::pin_to_core( core );
+                ctx.wait( seen, s.retry_at );
             }
-            detail::kernel_loop( *k, ctx );
-        } );
-    }
-    for( auto &t : threads )
-    {
-        t.join();
-    }
-    if( sup_ != nullptr )
-    {
-        sup_->clear_canceller();
-    }
-    ctx.throw_if_failed();
+        }
+    } );
 }
 
 /* ------------------------------------------------------------------ */
 /* cooperative pool                                                     */
 /* ------------------------------------------------------------------ */
 
+/**
+ * Workers sweep the kernels, claim each idle one with a CAS and dispatch
+ * it while ready() holds, up to dispatch_budget run() calls — a constant,
+ * not an option: ready() (kernel.hpp) guarantees no run() in it blocks.
+ * A kernel waiting out a restart deadline is skipped until then.
+ *
+ * Idle workers park. After 64 sweeps in a row without progress (one CPU
+ * pause each), a worker runs the parker half of an asymmetric Dekker
+ * handshake, the ring's park in shape (ringbuffer.hpp): read the epoch,
+ * raise `sleepers`, run the heavy barrier, sweep once more, and only if
+ * that sweep finds nothing either, wait for the epoch to move. The waker
+ * half is every dispatch that made progress — all stream traffic on the
+ * pool happens inside one: a compiler fence and a relaxed load of
+ * `sleepers`, and one sleeper woken when it is non-zero. Without
+ * membarrier both halves use seq_cst fences. The last kernel to finish
+ * and cancel() wake every sleeper. A wait ends by the earliest restart
+ * deadline the sweep skipped, and after 1 ms at most, like the monitor's
+ * doorbell: the cap covers work that no dispatch publishes, such as a
+ * ready() override that watches a socket, or a resize by the monitor.
+ */
 void pool_scheduler::execute( const std::vector<kernel *> &kernels,
                               const run_options &opts,
                               const mapping::assignment *assign,
@@ -330,218 +441,94 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
 {
     (void) assign;
     (void) machine;
-    enum : int
-    {
-        idle    = 0,
-        running = 1,
-        done    = 2
-    };
-    const std::size_t n = kernels.size();
-    std::vector<std::atomic<int>> state( n );
-    for( auto &s : state )
-    {
-        s.store( idle, std::memory_order_relaxed );
-    }
-    /** supervised restarts must not put a worker to sleep: a restarting
-     *  kernel instead becomes eligible again at retry_at[i] **/
-    std::vector<std::atomic<std::int64_t>> retry_at( n );
-    for( auto &r : retry_at )
-    {
-        r.store( 0, std::memory_order_relaxed );
-    }
-    /** names resolved once per exe(), not per dispatch **/
-    std::vector<std::string> names;
-    names.reserve( n );
-    for( const kernel *k : kernels )
-    {
-        names.push_back( k->name() );
-    }
+    constexpr int spin_limit           = 64;
+    constexpr std::int64_t park_cap_ns = 1'000'000;
+    constexpr auto no_deadline = std::numeric_limits<std::int64_t>::max();
+    const std::size_t n        = kernels.size();
     std::atomic<std::size_t> done_count{ 0 };
-    detail::exec_context ctx;
-    ctx.kernels = &kernels;
-    ctx.sup     = sup_;
-    if( sup_ != nullptr )
-    {
-        sup_->set_canceller( [ &ctx ]( const std::string &reason ) {
-            ctx.fail_named( "<watchdog>", reason );
-        } );
-    }
+    exec_context ctx( kernels, sup_ );
 
-    /** run() calls per dispatch while the kernel stays ready: long enough
-     *  to amortize the sweep, short enough that one hot kernel cannot
-     *  starve its consumers of a worker for long. A constant, not an
-     *  option: ready() (kernel.hpp) guarantees no run() in it blocks. **/
-    constexpr std::size_t quantum = 64;
+    /** one pass over the kernels; true when a dispatch made progress.
+     *  Lowers `next_retry` to the earliest restart deadline it skipped. **/
+    auto sweep = [ & ]( std::int64_t &next_retry ) {
+        bool progressed = false;
+        for( auto &s : ctx.slots )
+        {
+            int expect = slot::idle;
+            if( !s.state.compare_exchange_strong(
+                    expect, slot::running, std::memory_order_acq_rel ) )
+            {
+                continue;
+            }
+            const auto r = dispatch( s, ctx, true );
+            if( r == outcome::waiting )
+            {
+                next_retry = std::min( next_retry, s.retry_at );
+            }
+            s.state.store( r == outcome::done ? slot::done : slot::idle,
+                           std::memory_order_release );
+            if( r == outcome::ran || r == outcome::done )
+            {
+                progressed = true;
+                if( r == outcome::done &&
+                    done_count.fetch_add( 1, std::memory_order_acq_rel ) ==
+                        n - 1 )
+                {
+                    ctx.wake( true );
+                }
+                else
+                {
+                    ctx.wake_sleeper();
+                }
+            }
+        }
+        return progressed;
+    };
+
     const auto worker_count = std::max<std::size_t>(
         1, opts.pool_threads != 0 ? opts.pool_threads
                                   : std::thread::hardware_concurrency() );
-
-    auto worker = [ & ]() {
+    ctx.run_workers( worker_count, [ & ]( std::size_t ) {
         if( telemetry::tracing() )
         {
             telemetry::name_thread( "pool_worker" );
         }
-        detail::backoff idle_backoff;
+        int spins = 0;
         while( done_count.load( std::memory_order_acquire ) < n )
         {
-            bool progressed = false;
-            for( std::size_t i = 0; i < n; ++i )
+            auto next_retry = no_deadline;
+            if( sweep( next_retry ) )
             {
-                /** 0 = never failed: skip the clock read (unsupervised
-                 *  runs never arm retry_at) **/
-                const auto retry = retry_at[ i ].load(
-                    std::memory_order_acquire );
-                if( retry != 0 && retry > detail::now_ns() )
-                {
-                    continue; /** backing off before a restart **/
-                }
-                int expect = idle;
-                if( !state[ i ].compare_exchange_strong(
-                        expect, running, std::memory_order_acq_rel ) )
-                {
-                    continue;
-                }
-                kernel *k = kernels[ i ];
-                bool finished = false;
-                if( ( k->bus() != nullptr &&
-                      k->bus()->termination_requested() ) ||
-                    ctx.cancelled.load( std::memory_order_acquire ) )
-                {
-                    finished = true;
-                }
-                else if( k->ready() )
-                {
-                    try
-                    {
-                        runtime::inject::maybe_throw( "kernel.run",
-                                                      names[ i ] );
-                        /** one dispatch keeps the kernel running while
-                         *  ready() holds, up to the quantum: the scan,
-                         *  the state CAS and the telemetry clock pair are
-                         *  paid once per quantum, and the kernel's stream
-                         *  segment stays cache-hot **/
-                        auto *const probe = k->probe();
-                        const auto t0 = probe != nullptr
-                                            ? detail::now_ns()
-                                            : std::int64_t{ 0 };
-                        std::size_t executed = 0;
-                        do
-                        {
-                            ++executed;
-                            if( k->run() == raft::stop )
-                            {
-                                finished = true;
-                                break;
-                            }
-                        } while( executed < quantum && k->ready() );
-                        if( probe != nullptr )
-                        {
-                            /** quantum-granular accounting: one clock pair
-                             *  per dispatch, runs counted exactly **/
-                            const auto t1 = detail::now_ns();
-                            const auto dt =
-                                static_cast<std::uint64_t>( t1 - t0 );
-                            probe->busy_ns->add( dt );
-                            probe->runs->add( executed );
-                            probe->run_hist->observe( dt / executed );
-                            if( telemetry::tracing() )
-                            {
-                                /** one span per dispatch — the pool's
-                                 *  scheduling quantum, not per run() **/
-                                telemetry::span( probe->trace_name,
-                                                 telemetry::cat::kernel,
-                                                 t0, t1 );
-                            }
-                        }
-                    }
-                    catch( const closed_port_exception & )
-                    {
-                        finished = true;
-                    }
-                    catch( const stream_aborted_exception &e )
-                    {
-                        if( !ctx.cancelled.load(
-                                std::memory_order_acquire ) )
-                        {
-                            ctx.fail( *k, e.what() );
-                        }
-                        finished = true;
-                    }
-                    catch( const std::exception &e )
-                    {
-                        finished = !pool_retry( *k, ctx, e.what(),
-                                                retry_at[ i ] );
-                    }
-                    catch( ... )
-                    {
-                        finished = !pool_retry( *k, ctx,
-                                                "unknown exception",
-                                                retry_at[ i ] );
-                    }
-                    progressed = true;
-                }
-                if( finished )
-                {
-                    detail::close_kernel_streams( *k );
-                    state[ i ].store( done, std::memory_order_release );
-                    done_count.fetch_add( 1, std::memory_order_acq_rel );
-                }
-                else
-                {
-                    state[ i ].store( idle, std::memory_order_release );
-                }
+                spins = 0;
             }
-            if( progressed )
+            else if( spins < spin_limit )
             {
-                idle_backoff.reset();
+                ++spins;
+                detail::cpu_relax();
             }
             else
             {
-                idle_backoff.pause();
+                /** parker half **/
+                spins           = 0;
+                const auto seen = ctx.epoch.load( std::memory_order_acquire );
+                ctx.sleepers.fetch_add( 1, std::memory_order_seq_cst );
+                if( !ctx.light || !detail::heavy_barrier() )
+                {
+                    /** a failed barrier (never expected once registered)
+                     *  can lose a wake-up; the cap bounds the delay **/
+                    detail::seq_cst_fence();
+                }
+                next_retry = no_deadline;
+                if( !sweep( next_retry ) &&
+                    done_count.load( std::memory_order_acquire ) < n )
+                {
+                    ctx.wait( seen, std::min( now_ns() + park_cap_ns,
+                                              next_retry ) );
+                }
+                ctx.sleepers.fetch_sub( 1, std::memory_order_relaxed );
             }
         }
-    };
-
-    std::vector<std::thread> workers;
-    for( std::size_t w = 0; w < worker_count; ++w )
-    {
-        workers.emplace_back( worker );
-    }
-    for( auto &t : workers )
-    {
-        t.join();
-    }
-    if( sup_ != nullptr )
-    {
-        sup_->clear_canceller();
-    }
-    ctx.throw_if_failed();
-}
-
-/**
- * Pool-side failure handling: consult the supervisor; a granted restart
- * arms the kernel's retry-eligibility time (no worker sleeps) and invokes
- * on_restart() here, before the kernel goes back to idle. Returns true
- * when the kernel will be retried.
- */
-bool pool_scheduler::pool_retry( kernel &k, detail::exec_context &ctx,
-                                 const std::string &what,
-                                 std::atomic<std::int64_t> &retry_at )
-{
-    if( ctx.sup != nullptr &&
-        !ctx.cancelled.load( std::memory_order_acquire ) )
-    {
-        const auto v = ctx.sup->on_failure( k, what );
-        if( v.restart )
-        {
-            k.on_restart();
-            retry_at.store( detail::now_ns() + v.backoff.count(),
-                            std::memory_order_release );
-            return true;
-        }
-    }
-    ctx.fail( k, what );
-    return false;
+    } );
 }
 
 std::unique_ptr<ischeduler> make_scheduler( const scheduler_kind kind )

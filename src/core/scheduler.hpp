@@ -6,12 +6,18 @@
  * system... RaftLib, of course, allows the substitution of any scheduler
  * desired."
  *
+ * Both are policies over one dispatch (scheduler.cpp): run up to
+ * dispatch_budget run() calls of one kernel, with one termination check,
+ * one telemetry accounting pair, one exception ladder and one restart
+ * decision.
  *  - thread_scheduler: one OS thread per kernel (the paper's default).
- *    Kernels block inside port operations; end-of-stream surfaces as
+ *    Each thread dispatches its kernel in a loop; kernels block inside
+ *    port operations, and end-of-stream surfaces as
  *    closed_port_exception, which the scheduler treats as completion.
  *  - pool_scheduler: cooperative worker pool — N workers sweep the kernel
- *    set; a ready kernel keeps its worker while ready() holds, up to a
- *    fixed quantum of run() calls. A research alternative
+ *    set and dispatch each ready kernel, which keeps its worker while
+ *    ready() holds. A worker whose sweeps find nothing to run parks until
+ *    another dispatch makes progress. A research alternative
  *    ("straightforward to substitute with new algorithms").
  *
  * When a kernel completes, the scheduler closes its output streams for
@@ -28,10 +34,8 @@
  */
 #pragma once
 
-#include <atomic>
-#include <exception>
+#include <cstddef>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/exceptions.hpp"
@@ -77,10 +81,6 @@ public:
                   const mapping::machine_desc &machine ) override;
 };
 
-namespace detail {
-struct exec_context;
-} /** end namespace detail **/
-
 class pool_scheduler final : public ischeduler
 {
 public:
@@ -88,11 +88,6 @@ public:
                   const run_options &opts,
                   const mapping::assignment *assign,
                   const mapping::machine_desc &machine ) override;
-
-private:
-    static bool pool_retry( kernel &k, detail::exec_context &ctx,
-                            const std::string &what,
-                            std::atomic<std::int64_t> &retry_at );
 };
 
 std::unique_ptr<ischeduler> make_scheduler( scheduler_kind kind );
@@ -100,45 +95,14 @@ std::unique_ptr<ischeduler> make_scheduler( scheduler_kind kind );
 namespace detail {
 
 /**
- * Shared failure/cancellation state for one execute() call. Scheduler
- * threads record terminal failures here; the first one (or the watchdog)
- * triggers graph-wide cancellation: every stream is aborted so blocked
- * push/pop/window claims wake with stream_aborted_exception, and raft::term
- * is raised on the bus.
+ * run() calls per dispatch, on both schedulers. The pool runs a claimed
+ * kernel while ready() holds, up to this many calls; a thread worker runs
+ * its kernel this many calls back to back. raft::term, cancellation and
+ * the "kernel.run" injection site are checked once per dispatch, and the
+ * telemetry clock pair is paid once per dispatch, so a raised raft::term
+ * stops a kernel within this many run() calls.
  */
-struct exec_context
-{
-    const std::vector<kernel *> *kernels{ nullptr };
-    runtime::supervisor *sup{ nullptr };
-    std::atomic<bool> cancelled{ false };
-
-    /** Record a terminal failure for kernel k and cancel the graph. */
-    void fail( const kernel &k, const std::string &what );
-    /** Same, for failures with no kernel (e.g. the watchdog). */
-    void fail_named( const std::string &name, const std::string &what );
-    /** Cancel without recording a failure (idempotent). */
-    void cancel();
-    /** Throw graph_error aggregating every recorded failure, if any. */
-    void throw_if_failed();
-
-private:
-    std::mutex mutex_;
-    std::vector<failure_info> failures_;
-};
-
-/**
- * Drive one kernel to completion (thread scheduler body): loop run() until
- * raft::stop, closed_port_exception, or a bus termination request. Any
- * other exception consults the supervisor (restart in place while the
- * kernel's policy allows) and is otherwise recorded in ctx as a terminal
- * failure, cancelling the graph. Afterwards the kernel's streams are
- * closed on both sides.
- */
-void kernel_loop( kernel &k, exec_context &ctx );
-
-/** Close all bound streams of a completed kernel (outputs for writing,
- *  inputs for reading). */
-void close_kernel_streams( kernel &k );
+inline constexpr std::size_t dispatch_budget = 64;
 
 } /** end namespace detail **/
 
