@@ -7,7 +7,10 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <algo/corpus.hpp>
 #include <algo/strmatch.hpp>
@@ -115,5 +118,41 @@ BENCHMARK( bm_ac_multi_pattern )
     ->Arg( 8 )
     ->Arg( 64 )
     ->Unit( benchmark::kMillisecond );
+
+void run_ac_find( benchmark::State &state,
+                  const std::vector<std::string> &patterns )
+{
+    /** find() with a per-match callback, as search<> calls it **/
+    const raft::algo::aho_corasick_matcher m( patterns );
+    const auto &text    = corpus();
+    std::uint64_t found = 0;
+    const raft::algo::match_cb on_match =
+        [ &found ]( std::size_t, std::uint32_t ) { ++found; };
+    for( auto _ : state )
+    {
+        m.find( text.data(), text.size(), on_match );
+    }
+    benchmark::DoNotOptimize( found );
+    const auto kib = static_cast<double>( state.iterations() ) *
+                     static_cast<double>( text.size() ) / 1024.0;
+    state.counters[ "matches_per_kib" ] =
+        benchmark::Counter( static_cast<double>( found ) / kib );
+    state.SetBytesProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>( text.size() ) );
+}
+
+void bm_ac_find_sparse( benchmark::State &state )
+{
+    run_ac_find( state, { "volatile memory" } );
+}
+void bm_ac_find_dense( benchmark::State &state )
+{
+    /** common syllables of the corpus: a match every few bytes **/
+    run_ac_find( state, { "ter", "con", "tion", "ing", "pro", "men", "re",
+                          "de", "an", "e" } );
+}
+BENCHMARK( bm_ac_find_sparse )->Unit( benchmark::kMillisecond );
+BENCHMARK( bm_ac_find_dense )->Unit( benchmark::kMillisecond );
 
 } /** end anonymous namespace **/

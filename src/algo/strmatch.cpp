@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <stdexcept>
 
 namespace raft::algo {
@@ -371,12 +372,21 @@ aho_corasick_matcher::aho_corasick_matcher(
     }
 
     node_count_ = trie.size();
+    if( node_count_ - 1 >
+        ( std::numeric_limits<std::uint32_t>::max() >> 8 ) )
+    {
+        throw std::length_error( "aho-corasick automaton too large" );
+    }
+    if( max_len_ - 1 <= slice )
+    {
+        block_ = lanes * slice;
+    }
     next_.resize( node_count_ * 256 );
     for( std::size_t s = 0; s < node_count_; ++s )
     {
         for( unsigned b = 0; b < 256; ++b )
         {
-            next_[ s * 256 + b ] = trie[ s ].child[ b ];
+            next_[ s * 256 + b ] = trie[ s ].child[ b ] << 8;
         }
     }
     outputs_ = std::move( node_out );
@@ -388,20 +398,87 @@ aho_corasick_matcher::aho_corasick_matcher(
     }
 }
 
+template <class Step>
+std::uint32_t aho_corasick_matcher::scan_block( const unsigned char *block,
+                                                const std::uint32_t state,
+                                                Step &&step ) const
+{
+    const auto *next = next_.data();
+    const auto warm  = max_len_ - 1;
+    std::size_t s[ lanes ] = {};
+    s[ 0 ]                 = state;
+    /** lanes 1.. warm up from the root: no match ending before their
+     *  slice is theirs to report **/
+    const auto *lane1 = block + slice;
+    for( const auto *p = lane1 - warm; p < lane1; ++p )
+    {
+#pragma GCC unroll lanes
+        for( std::size_t k = 1; k < lanes; ++k )
+        {
+            s[ k ] = next[ s[ k ] + p[ ( k - 1 ) * slice ] ];
+        }
+    }
+    for( std::uint32_t j = 0; j < slice; ++j )
+    {
+#pragma GCC unroll lanes
+        for( std::size_t k = 0; k < lanes; ++k )
+        {
+            s[ k ] = next[ s[ k ] + block[ k * slice + j ] ];
+            step( k, j, static_cast<std::uint32_t>( s[ k ] ) );
+        }
+    }
+    return static_cast<std::uint32_t>( s[ lanes - 1 ] );
+}
+
+void aho_corasick_matcher::report( const std::size_t i,
+                                   const std::uint32_t state,
+                                   const match_cb &on_match ) const
+{
+    for( const auto &o : outputs_[ state >> 8 ] )
+    {
+        on_match( i + 1 - o.len, o.rule );
+    }
+}
+
 void aho_corasick_matcher::find( const char *data, const std::size_t len,
                                  const match_cb &on_match ) const
 {
+    const auto *text    = reinterpret_cast<const unsigned char *>( data );
+    const auto *next    = next_.data();
+    const auto *oc      = out_count_.data();
     std::uint32_t state = 0;
-    for( std::size_t i = 0; i < len; ++i )
+    std::size_t pos     = 0;
+    for( ; len - pos >= block_; pos += block_ )
     {
-        state = next_[ state * 256 +
-                       static_cast<unsigned char>( data[ i ] ) ];
-        if( out_count_[ state ] != 0 )
+        lane_hits hits[ lanes ];
+        std::uint32_t n[ lanes ] = {};
+        state = scan_block(
+            text + pos, state,
+            [ &hits, &n, oc ]( const std::size_t k, const std::uint32_t j,
+                               const std::uint32_t s ) {
+                if( oc[ s >> 8 ] != 0 ) [[unlikely]]
+                {
+                    hits[ k ].end[ n[ k ] ]   = j;
+                    hits[ k ].state[ n[ k ] ] = s;
+                    ++n[ k ];
+                }
+            } );
+        /** lane order, then slice order: the serial walk's order **/
+        for( std::size_t k = 0; k < lanes; ++k )
         {
-            for( const auto &o : outputs_[ state ] )
+            for( std::uint32_t h = 0; h < n[ k ]; ++h )
             {
-                on_match( i + 1 - o.len, o.rule );
+                report( pos + k * slice + hits[ k ].end[ h ],
+                        hits[ k ].state[ h ], on_match );
             }
+        }
+    }
+    for( ; pos < len; ++pos )
+    {
+        state = next[ state + text[ pos ] ];
+        if( oc[ state >> 8 ] != 0 )
+        {
+            report( pos, state, on_match );
         }
     }
 }
@@ -409,15 +486,24 @@ void aho_corasick_matcher::find( const char *data, const std::size_t len,
 std::uint64_t aho_corasick_matcher::count( const char *data,
                                            const std::size_t len ) const
 {
-    std::uint64_t n     = 0;
-    std::uint32_t state = 0;
+    const auto *text    = reinterpret_cast<const unsigned char *>( data );
     const auto *next    = next_.data();
     const auto *oc      = out_count_.data();
-    for( std::size_t i = 0; i < len; ++i )
+    std::uint64_t n     = 0;
+    std::uint32_t state = 0;
+    std::size_t pos     = 0;
+    for( ; len - pos >= block_; pos += block_ )
     {
-        state = next[ state * 256 +
-                      static_cast<unsigned char>( data[ i ] ) ];
-        n += oc[ state ];
+        /** branch-free: a count needs no match positions **/
+        state = scan_block(
+            text + pos, state,
+            [ &n, oc ]( std::size_t, std::uint32_t,
+                        const std::uint32_t s ) { n += oc[ s >> 8 ]; } );
+    }
+    for( ; pos < len; ++pos )
+    {
+        state = next[ state + text[ pos ] ];
+        n += oc[ state >> 8 ];
     }
     return n;
 }

@@ -52,7 +52,8 @@ public:
 
     kstatus run() override
     {
-        auto seg = input[ "0" ].template pop_s<mem_range>();
+        auto seg  = input[ "0" ].template pop_s<mem_range>();
+        auto &out = output[ "0" ];
         matcher_->find(
             seg->data, seg->len,
             [ & ]( const std::size_t pos, const std::uint32_t rule ) {
@@ -60,8 +61,7 @@ public:
                  *  whose body it starts **/
                 if( pos < seg->body_len )
                 {
-                    output[ "0" ].push<match_t>(
-                        match_t{ seg->offset + pos, rule } );
+                    out.push<match_t>( match_t{ seg->offset + pos, rule } );
                 }
             } );
         return raft::proceed;

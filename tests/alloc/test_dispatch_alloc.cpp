@@ -6,6 +6,9 @@
  * exe() may differ by less than N/64 — set-up costs cancel, any
  * per-element (or per-dispatch) allocation does not.
  *
+ * The Aho–Corasick matcher's find() and count() must not allocate either:
+ * they run once per segment inside search<>::run().
+ *
  * This binary replaces the global operator new to count calls, so it is
  * kept apart from raft_tests.
  */
@@ -15,7 +18,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
+#include <algo/strmatch.hpp>
 #include <raft.hpp>
 
 namespace {
@@ -151,4 +157,27 @@ TEST( dispatch_alloc, thread_scheduler_run_does_not_allocate )
 TEST( dispatch_alloc, pool_scheduler_run_does_not_allocate )
 {
     expect_no_per_element_allocation( raft::scheduler_kind::pool );
+}
+
+TEST( matcher_alloc, aho_corasick_scan_does_not_allocate )
+{
+    const raft::algo::aho_corasick_matcher m(
+        std::vector<std::string>{ "he", "she", "his", "hers" } );
+    /** matches in most slices, so every lane records some **/
+    std::string text( 1U << 16, 'x' );
+    for( std::size_t at = 0; at + 6 <= text.size(); at += 700 )
+    {
+        text.replace( at, 6, "ushers" );
+    }
+    std::uint64_t found = 0;
+    const raft::algo::match_cb on_match =
+        [ &found ]( std::size_t, std::uint32_t ) { ++found; };
+    allocations.store( 0, std::memory_order_relaxed );
+    counting.store( true, std::memory_order_relaxed );
+    m.find( text.data(), text.size(), on_match );
+    const auto counted = m.count( text.data(), text.size() );
+    counting.store( false, std::memory_order_relaxed );
+    EXPECT_EQ( allocations.load( std::memory_order_relaxed ), 0u );
+    EXPECT_EQ( counted, found );
+    EXPECT_GT( found, 0u );
 }

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <vector>
@@ -130,23 +131,29 @@ TEST_P( matcher_oracle, randomized_small_alphabet_vs_naive )
     std::mt19937_64 eng( 0xC0FFEE );
     std::uniform_int_distribution<int> ch( 0, 2 );
     std::uniform_int_distribution<std::size_t> plen( 1, 6 );
-    for( int trial = 0; trial < 60; ++trial )
+    /** the long texts span several of Aho–Corasick's lock-step blocks
+     *  and end in a ragged tail **/
+    for( const std::size_t len : { 400, 20011 } )
     {
-        std::string text( 400, 'a' );
-        for( auto &c : text )
+        for( int trial = 0; trial < 60; ++trial )
         {
-            c = static_cast<char>( 'a' + ch( eng ) );
+            std::string text( len, 'a' );
+            for( auto &c : text )
+            {
+                c = static_cast<char>( 'a' + ch( eng ) );
+            }
+            std::string pattern( plen( eng ), 'a' );
+            for( auto &c : pattern )
+            {
+                c = static_cast<char>( 'a' + ch( eng ) );
+            }
+            const naive_matcher oracle( pattern );
+            auto m = build( GetParam(), pattern );
+            EXPECT_EQ( positions_of( *m, text ),
+                       positions_of( oracle, text ) )
+                << "len " << len << " trial " << trial << " pattern '"
+                << pattern << "'";
         }
-        std::string pattern( plen( eng ), 'a' );
-        for( auto &c : pattern )
-        {
-            c = static_cast<char>( 'a' + ch( eng ) );
-        }
-        const naive_matcher oracle( pattern );
-        auto m = build( GetParam(), pattern );
-        EXPECT_EQ( positions_of( *m, text ),
-                   positions_of( oracle, text ) )
-            << "trial " << trial << " pattern '" << pattern << "'";
     }
 }
 
@@ -154,19 +161,22 @@ TEST_P( matcher_oracle, randomized_binary_bytes_vs_naive )
 {
     std::mt19937_64 eng( 0xFACADE );
     std::uniform_int_distribution<int> ch( 0, 255 );
-    for( int trial = 0; trial < 30; ++trial )
+    for( const std::size_t len : { 600, 20011 } )
     {
-        std::string text( 600, '\0' );
-        for( auto &c : text )
+        for( int trial = 0; trial < 30; ++trial )
         {
-            c = static_cast<char>( ch( eng ) );
+            std::string text( len, '\0' );
+            for( auto &c : text )
+            {
+                c = static_cast<char>( ch( eng ) );
+            }
+            /** pattern sampled from the text so matches exist **/
+            const std::string pattern = text.substr( 17, 4 );
+            const naive_matcher oracle( pattern );
+            auto m = build( GetParam(), pattern );
+            EXPECT_EQ( m->count( text.data(), text.size() ),
+                       oracle.count( text.data(), text.size() ) );
         }
-        /** pattern sampled from the text so matches exist **/
-        const std::string pattern = text.substr( 17, 4 );
-        const naive_matcher oracle( pattern );
-        auto m = build( GetParam(), pattern );
-        EXPECT_EQ( m->count( text.data(), text.size() ),
-                   oracle.count( text.data(), text.size() ) );
     }
 }
 
@@ -219,6 +229,125 @@ TEST( aho_corasick, nested_patterns )
     aho_corasick_matcher m(
         std::vector<std::string>{ "a", "aa", "aaa" } );
     EXPECT_EQ( m.count( "aaaa", 4 ), 4u + 3u + 2u );
+}
+
+namespace {
+
+using hit_list = std::vector<std::pair<std::size_t, std::uint32_t>>;
+
+hit_list hits_of( const matcher &m, const std::string &text )
+{
+    hit_list out;
+    m.find( text.data(), text.size(),
+            [ & ]( std::size_t p, std::uint32_t r ) {
+                out.emplace_back( p, r );
+            } );
+    return out;
+}
+
+/** The serial walk's order, by brute force: ends ascending; at one end,
+ *  longer patterns first, then by pattern index. */
+hit_list serial_reference( const std::vector<std::string> &patterns,
+                           const std::string &text )
+{
+    hit_list out;
+    for( std::size_t end = 1; end <= text.size(); ++end )
+    {
+        std::vector<std::pair<std::size_t, std::uint32_t>> at_end;
+        for( std::uint32_t r = 0; r < patterns.size(); ++r )
+        {
+            const auto &p = patterns[ r ];
+            if( p.size() <= end &&
+                text.compare( end - p.size(), p.size(), p ) == 0 )
+            {
+                at_end.emplace_back( p.size(), r );
+            }
+        }
+        std::sort( at_end.begin(), at_end.end(),
+                   []( const auto &a, const auto &b ) {
+                       return a.first > b.first ||
+                              ( a.first == b.first && a.second < b.second );
+                   } );
+        for( const auto &[ len, r ] : at_end )
+        {
+            out.emplace_back( end - len, r );
+        }
+    }
+    return out;
+}
+
+} /** end anonymous namespace **/
+
+TEST( aho_corasick, lanes_report_serial_order )
+{
+    constexpr auto slice = aho_corasick_matcher::slice;
+    constexpr auto block = aho_corasick_matcher::lanes * slice;
+    /** three blocks and a ragged tail **/
+    const std::size_t len = 3 * block + 700;
+    const struct
+    {
+        std::vector<std::string> patterns;
+        std::string plant;
+    } sets[] = {
+        /** "she" and "he" end together, as do "hers" and "rs" **/
+        { { "he", "she", "his", "hers", "rs" }, "ushishers" },
+        { { "a", "aa", "aaa" }, "aaaa" },
+    };
+    for( const auto &set : sets )
+    {
+        const aho_corasick_matcher m( set.patterns );
+        const auto reach = static_cast<std::ptrdiff_t>(
+            m.max_pattern_len() + set.plant.size() );
+        /** one text per offset: the plant at every slice boundary, from
+         *  wholly before it to wholly after it **/
+        for( auto d = -reach; d <= reach; ++d )
+        {
+            std::string text( len, 'x' );
+            for( std::size_t b = 0; b <= len; b += slice )
+            {
+                const auto at = static_cast<std::ptrdiff_t>( b ) + d;
+                if( at >= 0 && static_cast<std::size_t>( at ) +
+                                       set.plant.size() <=
+                                   len )
+                {
+                    text.replace( static_cast<std::size_t>( at ),
+                                  set.plant.size(), set.plant );
+                }
+            }
+            const auto want = serial_reference( set.patterns, text );
+            ASSERT_EQ( hits_of( m, text ), want )
+                << set.plant << " at boundary " << d;
+            EXPECT_EQ( m.count( text.data(), text.size() ), want.size() );
+        }
+    }
+    /** match-dense: every byte ends a match, in every lane **/
+    const std::string run( len, 'a' );
+    for( const auto &patterns : { std::vector<std::string>{ "aa" },
+                                  std::vector<std::string>{ "a", "aa",
+                                                            "aaa" } } )
+    {
+        const aho_corasick_matcher m( patterns );
+        const auto want = serial_reference( patterns, run );
+        EXPECT_EQ( hits_of( m, run ), want );
+        EXPECT_EQ( m.count( run.data(), run.size() ), want.size() );
+    }
+    /** the longest pattern the lanes take (lane 1's warm-up then starts
+     *  at its block's first byte), and one byte longer: walked serially
+     *  throughout **/
+    std::string text = run;
+    for( std::size_t b = 0; b < len; b += 1500 )
+    {
+        text[ b ] = 'b';
+    }
+    for( const auto n : { slice, slice + 1 } )
+    {
+        const std::vector<std::string> longer{ "ab",
+                                               std::string( n, 'a' ) + "b" };
+        const aho_corasick_matcher m( longer );
+        const auto want = serial_reference( longer, text );
+        EXPECT_EQ( hits_of( m, text ), want ) << "pattern length " << n + 1;
+        EXPECT_EQ( m.count( text.data(), text.size() ), want.size() );
+    }
 }
 
 TEST( aho_corasick, state_count_reflects_trie )
