@@ -44,7 +44,6 @@ outcome run_pipeline( const std::shared_ptr<const std::string> &corpus,
             raft::kernel::make<raft::write_each<raft::match_t>>(
                 std::back_inserter( hits ) ) );
     raft::run_options o;
-    o.collect_stats = false;
     const auto t0 = std::chrono::steady_clock::now();
     m.exe( o );
     const auto dt = std::chrono::duration<double>(

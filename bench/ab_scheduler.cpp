@@ -74,7 +74,6 @@ int main()
                  "vs default" );
 
     raft::run_options base;
-    base.collect_stats  = false;
     base.dynamic_resize = true;
 
     auto thread_opts      = base;

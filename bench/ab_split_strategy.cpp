@@ -87,7 +87,6 @@ double run_strategy( const raft::split_kind kind,
     o.split_strategy         = kind;
     o.initial_queue_capacity = 256;
     o.dynamic_resize         = false; /** isolate the strategy **/
-    o.collect_stats          = false;
     const auto t0 = std::chrono::steady_clock::now();
     m.exe( o );
     const auto dt = std::chrono::duration<double>(

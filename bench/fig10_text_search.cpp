@@ -69,7 +69,6 @@ std::uint64_t raft_run( const std::shared_ptr<const std::string> &corpus,
             std::back_inserter( hits ) ) );
     raft::run_options o;
     o.replication_width = width;
-    o.collect_stats     = false;
     map.exe( o );
     return hits.size();
 }

@@ -46,7 +46,6 @@ double run_once( const raft::algo::matrix &A,
     raft::run_options o;
     o.initial_queue_capacity = queue_items;
     o.dynamic_resize         = false; /** the size is the variable **/
-    o.collect_stats          = false;
     o.replication_width      = width;
     const auto t0 = std::chrono::steady_clock::now();
     m.exe( o );

@@ -234,12 +234,8 @@ void map::exe( const run_options &opts )
     /** 4. stream allocation & port binding.
      *  Declaration order matters: the controller must outlive the monitor
      *  (whose thread calls into it), so it is declared first — destroyed
-     *  last. **/
+     *  last — and constructed once the monitor knows every stream. **/
     std::unique_ptr<elastic::controller> ctrl;
-    if( elastic_on )
-    {
-        ctrl = std::make_unique<elastic::controller>( opts );
-    }
     std::unique_ptr<runtime::supervisor> sup;
     if( opts.supervision.enabled )
     {
@@ -277,16 +273,6 @@ void map::exe( const run_options &opts )
             monitor::stream_info{ e.src->name(), e.dst->name(),
                                   e.src_port, e.dst_port,
                                   out_p.meta().name } );
-        if( ctrl != nullptr )
-        {
-            ctrl->watch_stream( stream.get(), e.src->name(),
-                                e.dst->name() );
-        }
-        if( sup != nullptr )
-        {
-            sup->watch_stream( stream.get(), e.src->name(),
-                               e.dst->name() );
-        }
         if( tele != nullptr )
         {
             tele->watch_stream( stream.get(), e.src->name(),
@@ -295,17 +281,20 @@ void map::exe( const run_options &opts )
         ++stream_index;
         streams.push_back( std::move( stream ) );
     }
-    if( ctrl != nullptr )
+    if( elastic_on )
     {
         /** ports are bound now — the controller can resolve the split
-         *  adapters' input/lane streams **/
+         *  adapters' input/lane streams to monitor entries **/
+        ctrl = std::make_unique<elastic::controller>( opts, mon );
         for( const auto &g : replica_groups )
         {
             ctrl->add_group( g );
         }
         mon.attach_elastic( ctrl.get() );
     }
-    if( sup != nullptr )
+    /** the scheduler keeps the supervisor for restarts either way; the
+     *  monitor only needs it for the watchdog **/
+    if( sup != nullptr && opts.supervision.watchdog_deadline.count() > 0 )
     {
         mon.attach_supervisor( sup.get() );
     }

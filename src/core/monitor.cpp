@@ -34,8 +34,11 @@ void monitor::start()
     {
         return;
     }
-    if( !opts_.dynamic_resize && !opts_.collect_stats &&
-        elastic_ == nullptr && supervisor_ == nullptr )
+    const bool report = opts_.stats_out != nullptr ||
+                        ( opts_.telemetry.enabled &&
+                          !opts_.telemetry.json_out.empty() );
+    if( !opts_.dynamic_resize && !report && elastic_ == nullptr &&
+        supervisor_ == nullptr )
     {
         running_.store( false );
         return; /** nothing to do — zero overhead **/
@@ -62,8 +65,8 @@ void monitor::loop()
     {
         telemetry::name_thread( "monitor" );
     }
-    /** elastic and supervisor rules read rates every tick **/
-    const bool every_delta = elastic_ != nullptr || supervisor_ != nullptr;
+    /** the elastic controller's windows need δ-resolution samples **/
+    const bool every_delta = elastic_ != nullptr;
     const auto idle_cap = std::max<std::int64_t>( delta_ns_, idle_cap_ns );
     /** idle deadlines advance by idle_cap from each other, not from the
      *  late wake-up, and a late tick is caught up at once: sleep
@@ -136,22 +139,7 @@ bool monitor::tick()
             }
         };
 
-        if( opts_.collect_stats )
-        {
-            /** size() and capacity() are two separate loads; a racing
-             *  resize between them can yield sz > cap (or a stale cap),
-             *  so clamp before accumulating — the histogram clamps
-             *  internally as well **/
-            const auto occ = cap != 0 && sz > cap ? cap : sz;
-            const double util =
-                cap == 0 ? 0.0
-                         : static_cast<double>( occ ) /
-                               static_cast<double>( cap );
-            e.occupancy_sum += static_cast<double>( occ );
-            e.utilization_sum += util;
-            e.hist.add( util );
-            ++e.samples;
-        }
+        e.sample.add( sz, cap );
 
         if( !opts_.dynamic_resize )
         {
@@ -212,7 +200,7 @@ bool monitor::tick()
     }
     if( supervisor_ != nullptr )
     {
-        supervisor_->on_tick( now );
+        supervisor_->on_tick( *this, now );
     }
     return may_fire;
 }
@@ -236,22 +224,27 @@ void monitor::collect( runtime::perf_snapshot &out, const double wall ) const
         s.initial_capacity = e.initial_capacity;
         s.final_capacity   = e.f->capacity();
         s.resize_count     = e.f->resize_count();
-        s.samples          = e.samples;
-        if( e.samples > 0 )
+        const auto &sm     = e.sample;
+        s.samples          = sm.ticks;
+        if( sm.ticks > 0 )
         {
             s.mean_occupancy =
-                e.occupancy_sum / static_cast<double>( e.samples );
+                sm.occupancy_sum / static_cast<double>( sm.ticks );
             s.mean_utilization =
-                e.utilization_sum / static_cast<double>( e.samples );
+                sm.utilization_sum / static_cast<double>( sm.ticks );
         }
-        s.occupancy = e.hist;
+        s.occupancy = sm.hist;
         if( wall > 0.0 )
         {
-            s.service_rate_hz = static_cast<double>( s.popped ) / wall;
-            s.arrival_rate_hz = static_cast<double>( s.pushed ) / wall;
+            /** the whole run as one estimator window: the same corrected
+             *  rates the elastic controller acts on **/
+            elastic::rate_estimator run( 1.0 );
+            run.window( sm, s.pushed, s.popped, wall );
+            s.arrival_rate_hz = run.arrival_hz();
+            s.service_rate_hz = elastic::non_blocking_service_hz(
+                run.observed_pop_hz(), run.busy_fraction() );
             s.throughput_bytes_per_s =
-                static_cast<double>( s.popped ) *
-                static_cast<double>( s.element_size ) / wall;
+                run.observed_pop_hz() * static_cast<double>( s.element_size );
         }
         out.streams.push_back( std::move( s ) );
     }

@@ -9,18 +9,24 @@
  * On the read side, if the reading compute kernel requests more items than
  * the queue has available then the queue is tagged for resizing."
  *
- * Beyond resizing, the same thread performs the low-overhead statistics
- * sampling (§4.1): per tick and stream, one occupancy load and one
- * histogram increment.
+ * The tick is the only place that probes streams (§4.1's low-overhead
+ * statistics): per tick and stream, one size() and one capacity() load,
+ * added to the stream's monotonic runtime::stream_sample. The resize rules
+ * act on the same probe; the elastic controller (an attached hook, run at
+ * the end of the tick on this thread) and collect() after the run read the
+ * sample. The supervisor's watchdog, the other hook, walks the same
+ * entries for its progress sum. Push/pop counters are read only by these
+ * readers, never by the tick itself.
  *
  * Cadence: the thread ticks every δ only while a rule can fire — a
  * writer is blocked on a queue that may still grow, or a reader's resize
- * request is pending — or while an elastic controller or a supervisor is
- * attached (they measure rates every tick). Otherwise it sleeps on its
+ * request is pending — or while an elastic controller is attached (its
+ * control windows need δ-resolution samples). Otherwise it sleeps on its
  * doorbell for max(δ, 1 ms). A registered queue rings the doorbell when
  * its writer starts to block or its reader posts a request, so the 3δ rule
- * still measures from the blocked-since stamp. Statistics are sampled
- * about every max(δ, 1 ms) when idle.
+ * still measures from the blocked-since stamp. Streams are sampled about
+ * every max(δ, 1 ms) when idle, which also bounds how late the watchdog
+ * notices a stall.
  */
 #pragma once
 
@@ -58,6 +64,16 @@ public:
         std::string type_name;
     };
 
+    /** One registered stream. The sample is written by tick() only. */
+    struct entry
+    {
+        fifo_base *f{ nullptr };
+        stream_info info;
+        std::size_t initial_capacity{ 0 };
+        runtime::stream_sample sample;
+        std::size_t low_util_streak{ 0 };
+    };
+
     explicit monitor( const run_options &opts );
     ~monitor();
 
@@ -69,11 +85,16 @@ public:
      *  doorbell: the monitor must outlive every blocking operation on f. */
     void register_stream( fifo_base *f, stream_info info );
 
+    /** Registered streams; read samples from an attached hook or after
+     *  stop(). */
+    const std::vector<entry> &streams() const noexcept { return entries_; }
+
     /** Attach the elastic controller (runtime/elastic/) before start();
      *  its on_tick() runs at the end of every monitor tick, on the monitor
-     *  thread, so elastic actuation never races the monitor's resizes. The
-     *  controller must outlive the monitor's running thread (declare it
-     *  first / stop() the monitor before destroying it). */
+     *  thread, so elastic actuation never races the monitor's resizes; the
+     *  thread then ticks every δ. The controller must outlive the
+     *  monitor's running thread (declare it first / stop() the monitor
+     *  before destroying it). */
     void attach_elastic( elastic::controller *ctrl ) noexcept
     {
         elastic_ = ctrl;
@@ -81,12 +102,14 @@ public:
 
     /** Attach the supervisor's watchdog before start(); its on_tick()
      *  runs at the end of every monitor tick (same lifetime contract as
-     *  the elastic controller). */
+     *  the elastic controller). It does not change the cadence. */
     void attach_supervisor( runtime::supervisor *sup ) noexcept
     {
         supervisor_ = sup;
     }
 
+    /** Start the thread only if something acts on or reads the samples:
+     *  dynamic_resize, stats_out, a telemetry json_out, or a hook. */
     void start();
     void stop();
 
@@ -104,19 +127,6 @@ public:
     bool tick();
 
 private:
-    struct entry
-    {
-        fifo_base *f{ nullptr };
-        stream_info info;
-        std::size_t initial_capacity{ 0 };
-        /** accumulators (monitor-thread private while running) **/
-        double occupancy_sum{ 0.0 };
-        double utilization_sum{ 0.0 };
-        std::uint64_t samples{ 0 };
-        runtime::occupancy_histogram hist;
-        std::size_t low_util_streak{ 0 };
-    };
-
     void loop();
 
     run_options opts_;
@@ -124,7 +134,7 @@ private:
     std::thread thread_;
     std::atomic<bool> running_{ false };
     std::atomic<std::uint64_t> ticks_{ 0 };
-    /** the longest idle sleep: statistics sample at about 1 kHz **/
+    /** the longest idle sleep: streams are sampled at about 1 kHz **/
     static constexpr std::int64_t idle_cap_ns = 1'000'000;
     std::int64_t delta_ns_{ 10'000 };
     /** rung by registered queues and by stop() **/

@@ -121,7 +121,9 @@ struct supervision_options
      * supervisor dumps per-kernel occupancy/rate diagnostics and — when
      * watchdog_abort is set — cancels the graph so blocked kernels wake
      * with stream_aborted_exception instead of hanging forever.
-     * 0 disables the watchdog.
+     * 0 disables the watchdog. It runs on the monitor's tick, which comes
+     * about once per max(monitor_delta, 1 ms) while no resize rule can
+     * fire, so a stall is noticed up to that much past the deadline.
      */
     ///@{
     std::chrono::nanoseconds watchdog_deadline{ 0 };
@@ -193,8 +195,8 @@ struct run_options
 
     /** @name monitoring */
     ///@{
-    bool collect_stats{ true };
-    /** Filled with the run's statistics at teardown when non-null. */
+    /** Filled with the run's statistics at teardown when non-null (which
+     *  also starts the monitor thread, see monitor::start()). */
     runtime::perf_snapshot *stats_out{ nullptr };
     ///@}
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/monitor.hpp"
 #include "runtime/telemetry/metrics.hpp"
 #include "runtime/telemetry/trace.hpp"
 
@@ -53,6 +54,18 @@ double lane_skew( const std::vector<double> &occ )
     return std::sqrt( var ) / mean;
 }
 
+/** The monitor entry of stream f; the entry count if f is unknown. */
+std::size_t entry_of( const monitor &mon, const fifo_base *f )
+{
+    const auto &es = mon.streams();
+    std::size_t i  = 0;
+    while( i < es.size() && es[ i ].f != f )
+    {
+        ++i;
+    }
+    return i;
+}
+
 } /** end anonymous namespace **/
 
 controller::~controller()
@@ -63,8 +76,9 @@ controller::~controller()
     }
 }
 
-controller::controller( const run_options &opts )
-    : cfg_( opts.elastic ), dynamic_resize_( opts.dynamic_resize ),
+controller::controller( const run_options &opts, const monitor &mon )
+    : mon_( mon ), cfg_( opts.elastic ),
+      dynamic_resize_( opts.dynamic_resize ),
       max_queue_capacity_( opts.max_queue_capacity )
 {
     period_ns_ = cfg_.control_period.count();
@@ -77,6 +91,8 @@ controller::controller( const run_options &opts )
     {
         cfg_.ewma_alpha = 0.4;
     }
+    streams_.assign( mon_.streams().size(),
+                     stream_state{ rate_estimator( cfg_.ewma_alpha ), 0 } );
 }
 
 void controller::add_group( const replica_group &g )
@@ -85,21 +101,22 @@ void controller::add_group( const replica_group &g )
     {
         return; /** nothing to actuate without a split adapter **/
     }
-    group_state gs{ g.kernel_name,
-                    g.splits,
-                    /*active*/ 1,
-                    /*min*/ 1,
-                    /*max*/ 1,
-                    /*input*/ nullptr,
-                    rate_estimator( cfg_.ewma_alpha ),
-                    {},
-                    replica_policy( policy_config{} ),
-                    strategy_policy( policy_config{} ),
-                    /*strict*/ false,
-                    /*rep*/ {},
-                    /*input_hist*/ {} };
-
+    group_state gs;
+    gs.name             = g.kernel_name;
+    gs.splits           = g.splits;
     split_kernel *first = g.splits.front();
+    gs.input            = entry_of( mon_, &first->input[ "0" ].raw() );
+    bool known          = gs.input < streams_.size();
+    for( std::size_t i = 0; i < first->width(); ++i )
+    {
+        gs.lanes.push_back( entry_of(
+            mon_, &first->output[ std::to_string( i ) ].raw() ) );
+        known = known && gs.lanes.back() < streams_.size();
+    }
+    if( !known )
+    {
+        return;
+    }
     gs.max_active       = first->width();
     gs.min_active       = cfg_.min_replicas == 0 ? 1 : cfg_.min_replicas;
     if( gs.min_active > gs.max_active )
@@ -113,15 +130,6 @@ void controller::add_group( const replica_group &g )
     gs.policy         = replica_policy( pcfg );
     gs.strategy       = strategy_policy( pcfg );
     gs.strict_routing = first->strategy_strict();
-
-    gs.input = &first->input[ "0" ].raw();
-    gs.lanes.reserve( first->width() );
-    for( std::size_t i = 0; i < first->width(); ++i )
-    {
-        gs.lanes.push_back(
-            lane_state{ &first->output[ std::to_string( i ) ].raw(),
-                        rate_estimator( cfg_.ewma_alpha ) } );
-    }
 
     gs.rep.kernel_name = g.kernel_name;
     gs.rep.min_active  = gs.min_active;
@@ -153,40 +161,8 @@ void controller::add_group( const replica_group &g )
     groups_.push_back( std::move( gs ) );
 }
 
-void controller::watch_stream( fifo_base *f, std::string src_kernel,
-                               std::string dst_kernel )
-{
-    streams_.push_back( stream_state{ f, std::move( src_kernel ),
-                                      std::move( dst_kernel ),
-                                      rate_estimator( cfg_.ewma_alpha ),
-                                      0 } );
-}
-
 void controller::on_tick( const std::int64_t now_ns )
 {
-    /** δ-tick occupancy probes (one size/capacity load pair each) **/
-    for( auto &g : groups_ )
-    {
-        const auto isz  = g.input->size();
-        const auto icap = g.input->capacity();
-        g.input_est.tick( isz, icap );
-        g.input_hist.add( icap == 0 ? 0.0
-                                    : static_cast<double>( isz ) /
-                                          static_cast<double>( icap ) );
-        for( auto &l : g.lanes )
-        {
-            l.est.tick( l.f->size(), l.f->capacity() );
-        }
-    }
-    if( ++probe_phase_ >= stream_probe_stride )
-    {
-        probe_phase_ = 0;
-        for( auto &s : streams_ )
-        {
-            s.est.tick( s.f->size(), s.f->capacity() );
-        }
-    }
-
     if( last_control_ns_ == 0 )
     {
         last_control_ns_ = now_ns;
@@ -205,19 +181,28 @@ void controller::on_tick( const std::int64_t now_ns )
 void controller::control_window( const double dt_s )
 {
     ++control_ticks_;
+    const auto &entries = mon_.streams();
+    for( std::size_t i = 0; i < streams_.size(); ++i )
+    {
+        fifo_base &f = *entries[ i ].f;
+        streams_[ i ].est.window( entries[ i ].sample, f.total_pushed(),
+                                  f.total_popped(), dt_s );
+    }
+    /** replica actuation first: a resize below may wait on the stream's
+     *  ends, and lane activation should not wait behind it **/
     for( auto &g : groups_ )
     {
-        control_group( g, dt_s );
+        control_group( g );
     }
 
-    /** predictive FIFO sizing over every watched stream **/
-    for( auto &s : streams_ )
+    /** predictive FIFO sizing over every stream **/
+    if( !cfg_.predictive_resize || !dynamic_resize_ )
     {
-        s.est.window( s.f->total_pushed(), s.f->total_popped(), dt_s );
-        if( !cfg_.predictive_resize || !dynamic_resize_ )
-        {
-            continue;
-        }
+        return;
+    }
+    for( std::size_t i = 0; i < streams_.size(); ++i )
+    {
+        auto &s = streams_[ i ];
         if( s.cooldown > 0 )
         {
             --s.cooldown;
@@ -227,11 +212,12 @@ void controller::control_window( const double dt_s )
         {
             continue; /** estimates still warming up **/
         }
+        fifo_base &f    = *entries[ i ].f;
         const auto want = predict_capacity(
             s.est.arrival_hz(), s.est.service_hz(),
-            s.est.mean_occupancy_fraction(), s.f->capacity(),
+            s.est.mean_occupancy_fraction(), f.capacity(),
             max_queue_capacity_ );
-        if( want != 0 && s.f->resize( want ) )
+        if( want != 0 && f.resize( want ) )
         {
             ++predictive_resizes_;
             s.cooldown = 4; /** let the new capacity show effect **/
@@ -241,50 +227,48 @@ void controller::control_window( const double dt_s )
             }
             if( telemetry::tracing() )
             {
-                telemetry::instant_str( "predictive_resize " + s.src +
-                                            "->" + s.dst,
+                const auto &info = entries[ i ].info;
+                telemetry::instant_str( "predictive_resize " +
+                                            info.src_kernel + "->" +
+                                            info.dst_kernel,
                                         telemetry::cat::elastic, want );
             }
         }
     }
 }
 
-void controller::control_group( group_state &g, const double dt_s )
+void controller::control_group( group_state &g )
 {
-    g.input_est.window( g.input->total_pushed(),
-                        g.input->total_popped(), dt_s );
-    for( auto &l : g.lanes )
-    {
-        l.est.window( l.f->total_pushed(), l.f->total_popped(), dt_s );
-    }
-
+    const auto &input = streams_[ g.input ].est;
     /** aggregate the per-replica non-blocking service rate over lanes
      *  with a warmed-up estimate **/
     double mu_sum   = 0.0;
     std::size_t mun = 0;
-    for( const auto &l : g.lanes )
+    for( const auto l : g.lanes )
     {
-        if( l.est.service_valid() )
+        const auto &est = streams_[ l ].est;
+        if( est.service_valid() )
         {
-            mu_sum += l.est.service_hz();
+            mu_sum += est.service_hz();
             ++mun;
         }
     }
 
     group_estimate e;
-    e.lambda         = g.input_est.arrival_hz();
+    e.lambda         = input.arrival_hz();
     e.mu             = mun == 0 ? 0.0
                                 : mu_sum / static_cast<double>( mun );
-    e.input_pressure = g.input_est.mean_occupancy_fraction();
+    e.input_pressure = input.mean_occupancy_fraction();
     e.active         = g.active;
-    e.rates_valid    = g.input_est.arrival_valid() && mun > 0 &&
-                       g.input_est.windows() >= 2;
+    e.rates_valid    = input.arrival_valid() && mun > 0 &&
+                       input.windows() >= 2;
 
     std::vector<double> occ;
     occ.reserve( g.active );
     for( std::size_t i = 0; i < g.active && i < g.lanes.size(); ++i )
     {
-        occ.push_back( g.lanes[ i ].est.mean_occupancy_fraction() );
+        occ.push_back(
+            streams_[ g.lanes[ i ] ].est.mean_occupancy_fraction() );
     }
     e.lane_skew = lane_skew( occ );
 
@@ -358,10 +342,11 @@ runtime::elastic_report controller::report() const
     r.predictive_resizes = predictive_resizes_;
     for( const auto &g : groups_ )
     {
-        auto rep                    = g.rep;
-        rep.final_active            = g.active;
-        rep.input_p50_utilization   = g.input_hist.p50();
-        rep.input_p95_utilization   = g.input_hist.p95();
+        const auto &hist          = mon_.streams()[ g.input ].sample.hist;
+        auto rep                  = g.rep;
+        rep.final_active          = g.active;
+        rep.input_p50_utilization = hist.p50();
+        rep.input_p95_utilization = hist.p95();
         r.groups.push_back( std::move( rep ) );
     }
     return r;

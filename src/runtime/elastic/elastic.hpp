@@ -2,10 +2,10 @@
  * elastic.hpp — the elastic runtime controller (runtime/elastic/).
  *
  * A closed-loop adaptive controller that rides the monitor thread: the
- * monitor calls on_tick() once per δ; the controller takes one cheap
- * occupancy probe per watched stream per tick and, every control period,
- * closes an estimation window (estimator.hpp), evaluates the policies
- * (policy.hpp) and actuates:
+ * monitor calls on_tick() once per δ. The controller probes no stream
+ * itself; it names streams by their monitor entry and, every control
+ * period, closes one estimation window (estimator.hpp) per entry over the
+ * monitor's samples, evaluates the policies (policy.hpp) and actuates:
  *
  *   - replica elasticity — activating/retiring replica lanes of
  *     pre-provisioned split/reduce groups (core/parallel.hpp) via
@@ -34,6 +34,10 @@
 #include "runtime/elastic/policy.hpp"
 #include "runtime/stats.hpp"
 
+namespace raft {
+class monitor;
+} /** end namespace raft **/
+
 namespace raft::telemetry {
 class gauge;
 } /** end namespace raft::telemetry **/
@@ -43,7 +47,9 @@ namespace raft::elastic {
 class controller
 {
 public:
-    explicit controller( const run_options &opts );
+    /** Construct after every stream is registered with `mon`: one
+     *  estimator per monitor entry reads that entry's sample. */
+    controller( const run_options &opts, const monitor &mon );
 
     /** releases the controller's telemetry registrations (if any) **/
     ~controller();
@@ -54,17 +60,13 @@ public:
     /** @name registration (map::exe, before the monitor starts) */
     ///@{
     /** Register a replicated kernel's adapters; the split/reduce ports
-     *  must already be bound to streams. Groups without a split adapter
-     *  are ignored (nothing to actuate). */
+     *  must already be bound to streams the monitor knows. Other groups
+     *  are ignored (nothing to actuate or to estimate). */
     void add_group( const replica_group &g );
-
-    /** Watch one stream for predictive resizing. */
-    void watch_stream( fifo_base *f, std::string src_kernel,
-                       std::string dst_kernel );
     ///@}
 
-    /** Monitor-thread hook: one δ tick. Samples every watched stream and,
-     *  once per control period, runs estimate → policy → actuate. */
+    /** Monitor-thread hook: one δ tick. Once per control period it runs
+     *  estimate → policy → actuate over the monitor's samples. */
     void on_tick( std::int64_t now_ns );
 
     /** Trajectory summary; call after the monitor stopped. */
@@ -73,12 +75,6 @@ public:
     std::size_t group_count() const noexcept { return groups_.size(); }
 
 private:
-    struct lane_state
-    {
-        fifo_base *f{ nullptr };
-        rate_estimator est;
-    };
-
     struct group_state
     {
         std::string name;
@@ -87,19 +83,16 @@ private:
         std::size_t min_active{ 1 };
         std::size_t max_active{ 1 };
 
-        fifo_base *input{ nullptr }; /**< stream feeding the first split */
-        rate_estimator input_est;
-        std::vector<lane_state> lanes; /**< first split's output streams  */
+        /** monitor entries: the stream feeding the first split, and the
+         *  first split's output streams **/
+        std::size_t input{ 0 };
+        std::vector<std::size_t> lanes;
 
-        replica_policy policy;
-        strategy_policy strategy;
+        replica_policy policy{ policy_config{} };
+        strategy_policy strategy{ policy_config{} };
         bool strict_routing{ false }; /**< current strategy is strict RR  */
 
         runtime::elastic_group_report rep;
-
-        /** input occupancy distribution over every δ probe — feeds the
-         *  report's input_p50/p95_utilization */
-        runtime::occupancy_histogram input_hist;
 
         /** telemetry (null / 0 when no session is active at add_group) */
         telemetry::gauge *active_gauge{ nullptr };
@@ -107,25 +100,17 @@ private:
         std::uint32_t trace_quiesce{ 0 };
     };
 
+    /** one per monitor entry, same index **/
     struct stream_state
     {
-        fifo_base *f{ nullptr };
-        std::string src;
-        std::string dst;
         rate_estimator est;
         std::uint64_t cooldown{ 0 }; /**< windows until next resize try  */
     };
 
     void control_window( double dt_s );
-    void control_group( group_state &g, double dt_s );
+    void control_group( group_state &g );
 
-    /** Watched (non-group) streams only feed the predictive-resize
-     *  estimator, which doesn't need δ-resolution occupancy: probe them
-     *  every Nth tick so the controller's steady-state cost stays well
-     *  under the monitor's own sampling. Group inputs/lanes keep per-δ
-     *  probes — pressure and skew fidelity drive replica decisions. */
-    static constexpr std::uint32_t stream_probe_stride = 4;
-
+    const monitor &mon_;
     elastic_options cfg_;
     bool dynamic_resize_{ true };
     std::size_t max_queue_capacity_{ 0 };
@@ -134,7 +119,6 @@ private:
 
     std::vector<group_state> groups_;
     std::vector<stream_state> streams_;
-    std::uint32_t probe_phase_{ 0 };
 
     std::uint64_t control_ticks_{ 0 };
     std::uint64_t predictive_resizes_{ 0 };

@@ -2,11 +2,13 @@
  * estimator.hpp — online arrival/service-rate estimation for the elastic
  * runtime (runtime/elastic/).
  *
- * The monitor thread samples every watched FIFO once per δ tick (one
- * occupancy load, mirroring the §4.1 low-overhead statistics design); at
- * each control period the per-window tick aggregates are combined with the
- * queue's monotonic push/pop counters into rate estimates, EWMA-smoothed
- * across windows.
+ * The estimator takes no probes of its own. The monitor thread keeps one
+ * monotonic sample per stream (runtime::stream_sample, §4.1's low-overhead
+ * statistics); at each control period the estimator takes that sample's
+ * deltas since its previous window, together with the queue's monotonic
+ * push/pop counters, and turns them into rate estimates, EWMA-smoothed
+ * across windows. monitor::collect() applies the same corrections to the
+ * whole run, so the run report and the controller agree.
  *
  * The service-rate estimate follows Beard & Chamberlain's run-time
  * approximation of *non-blocking* service rates (arXiv:1504.00591): the
@@ -23,6 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "runtime/stats.hpp"
 
 namespace raft::elastic {
 
@@ -45,11 +49,6 @@ public:
 
     double value() const noexcept { return value_; }
     bool valid() const noexcept { return valid_; }
-    void reset() noexcept
-    {
-        value_ = 0.0;
-        valid_ = false;
-    }
 
 private:
     double alpha_;
@@ -57,14 +56,24 @@ private:
     bool valid_{ false };
 };
 
+/** Non-blocking service rate (1504.00591): pops happen only while the
+ *  queue is non-empty, so divide the pop rate by the busy fraction
+ *  (floored at 0.05). The run report applies it to the whole run. */
+inline double non_blocking_service_hz( const double pop_hz,
+                                       const double busy_frac ) noexcept
+{
+    return pop_hz / ( busy_frac < 0.05 ? 0.05 : busy_frac );
+}
+
 /**
- * Rate estimator for one FIFO: δ-tick occupancy probes plus control-window
- * counter deltas → EWMA estimates of offered arrival rate and non-blocking
- * service rate.
+ * Rate estimator for one FIFO: the monitor sample's deltas plus the
+ * queue's counter deltas over one control window → EWMA estimates of
+ * offered arrival rate and non-blocking service rate.
  *
- * Single-threaded by design: both tick() and window() run on the monitor
- * thread. The FIFO counters it consumes (total_pushed/total_popped) are
- * relaxed atomics maintained by the queue ends.
+ * Single-threaded by design: window() runs on the monitor thread, which
+ * also writes the sample. The FIFO counters it consumes
+ * (total_pushed/total_popped) are relaxed atomics maintained by the queue
+ * ends.
  */
 class rate_estimator
 {
@@ -74,50 +83,31 @@ public:
     {
     }
 
-    /** One δ-tick occupancy probe (size and capacity loads only). */
-    void tick( const std::size_t size, const std::size_t capacity ) noexcept
-    {
-        ++ticks_;
-        if( size > 0 )
-        {
-            ++busy_ticks_;
-        }
-        if( capacity != 0 && size >= capacity )
-        {
-            ++full_ticks_;
-        }
-        occ_sum_ += capacity == 0
-                        ? 0.0
-                        : static_cast<double>(
-                              size > capacity ? capacity : size ) /
-                              static_cast<double>( capacity );
-    }
-
     /**
-     * Close a control window: `pushed`/`popped` are the queue's lifetime
-     * counters, `dt_s` the window length in seconds. Applies the
-     * busy/non-full corrections and folds the window into the EWMAs.
+     * Close a control window: `s` is the stream's monitor sample and
+     * `pushed`/`popped` the queue's lifetime counters, all read now;
+     * `dt_s` is the window length in seconds. Takes deltas against the
+     * previous window, applies the busy/non-full corrections and folds
+     * the window into the EWMAs.
      */
-    void window( const std::uint64_t pushed, const std::uint64_t popped,
-                 const double dt_s ) noexcept
+    void window( const runtime::stream_sample &s, const std::uint64_t pushed,
+                 const std::uint64_t popped, const double dt_s ) noexcept
     {
         const auto d_push = pushed - last_pushed_;
         const auto d_pop  = popped - last_popped_;
+        const auto ticks  = s.ticks - last_.ticks;
+        const auto busy   = s.busy_ticks - last_.busy_ticks;
+        const auto full   = s.full_ticks - last_.full_ticks;
+        const auto util   = s.utilization_sum - last_.utilization_sum;
         last_pushed_      = pushed;
         last_popped_      = popped;
+        last_             = s;
 
-        const auto t = static_cast<double>( ticks_ );
-        busy_frac_   = ticks_ == 0
-                           ? ( d_pop > 0 ? 1.0 : 0.0 )
-                           : static_cast<double>( busy_ticks_ ) / t;
-        full_frac_   = ticks_ == 0
-                           ? 0.0
-                           : static_cast<double>( full_ticks_ ) / t;
-        mean_occ_    = ticks_ == 0 ? 0.0 : occ_sum_ / t;
-        ticks_       = 0;
-        busy_ticks_  = 0;
-        full_ticks_  = 0;
-        occ_sum_     = 0.0;
+        const auto t = static_cast<double>( ticks );
+        busy_frac_   = ticks == 0 ? ( d_pop > 0 ? 1.0 : 0.0 )
+                                  : static_cast<double>( busy ) / t;
+        full_frac_   = ticks == 0 ? 0.0 : static_cast<double>( full ) / t;
+        mean_occ_    = ticks == 0 ? 0.0 : util / t;
 
         if( !( dt_s > 0.0 ) )
         {
@@ -134,13 +124,12 @@ public:
         arrival_.update( observed_push_hz_ /
                          ( open < 0.05 ? 0.05 : open ) );
 
-        /** non-blocking service rate (1504.00591): pops happen only while
-         *  the queue is non-empty; meaningful only when the consumer was
-         *  observably busy this window, otherwise keep the prior **/
+        /** non-blocking service rate: meaningful only when the consumer
+         *  was observably busy this window, otherwise keep the prior **/
         if( busy_frac_ > 0.02 )
         {
-            service_.update( observed_pop_hz_ /
-                             ( busy_frac_ < 0.05 ? 0.05 : busy_frac_ ) );
+            service_.update(
+                non_blocking_service_hz( observed_pop_hz_, busy_frac_ ) );
         }
         ++windows_;
     }
@@ -167,15 +156,12 @@ private:
     ewma arrival_;
     ewma service_;
 
-    std::uint64_t last_pushed_{ 0 };
-    std::uint64_t last_popped_{ 0 };
     std::uint64_t windows_{ 0 };
 
-    /** per-window tick aggregates **/
-    std::uint64_t ticks_{ 0 };
-    std::uint64_t busy_ticks_{ 0 };
-    std::uint64_t full_ticks_{ 0 };
-    double occ_sum_{ 0.0 };
+    /** what the previous window saw **/
+    std::uint64_t last_pushed_{ 0 };
+    std::uint64_t last_popped_{ 0 };
+    runtime::stream_sample last_;
 
     /** last-window results **/
     double observed_push_hz_{ 0.0 };

@@ -4,10 +4,12 @@
  * ... mean queue occupancy, service rate, throughput, queue occupancy
  * histograms").
  *
- * The monitor thread (core/monitor.hpp) samples every stream at its δ tick
- * and accumulates into these structures; map::exe() returns a perf_snapshot
- * through run_options::stats_out. Collection is deliberately cheap: per
- * sample, one occupancy load and one histogram bucket increment per stream
+ * The monitor thread (core/monitor.hpp) is the only sampler: every tick it
+ * adds one probe (a size() and a capacity() load) to each stream's
+ * stream_sample. The run report and the elastic controller read that one
+ * sample; map::exe() returns the report as a perf_snapshot through
+ * run_options::stats_out. Collection is deliberately cheap: per probe, a
+ * few counter increments and one histogram bucket increment per stream
  * (the low-impact design the TimeTrial line of work argues for).
  */
 #pragma once
@@ -71,23 +73,6 @@ public:
         total_ += o.total_;
     }
 
-    /** Mean occupancy fraction, estimated from bucket midpoints. */
-    double mean_fraction() const noexcept
-    {
-        if( total_ == 0 )
-        {
-            return 0.0;
-        }
-        double sum = 0.0;
-        for( std::size_t i = 0; i < bucket_count; ++i )
-        {
-            const auto mid = ( static_cast<double>( i ) + 0.5 ) /
-                             static_cast<double>( bucket_count );
-            sum += static_cast<double>( buckets_[ i ] ) * mid;
-        }
-        return sum / static_cast<double>( total_ );
-    }
-
     /**
      * q-quantile of the occupancy fraction (q in [0,1]): upper edge of the
      * first bucket at which the CDF reaches q. Resolution is one bucket
@@ -127,6 +112,40 @@ private:
     std::uint64_t total_{ 0 };
 };
 
+/**
+ * One stream's monitor sample: monotonic sums over every probe the monitor
+ * took. Only the monitor thread writes it; the elastic controller, on that
+ * thread, takes deltas between two reads, and monitor::collect() reads it
+ * after the thread stopped.
+ */
+struct stream_sample
+{
+    std::uint64_t ticks{ 0 };      /**< probes taken                     */
+    std::uint64_t busy_ticks{ 0 }; /**< probes that found it non-empty   */
+    std::uint64_t full_ticks{ 0 }; /**< probes that found it full        */
+    double occupancy_sum{ 0.0 };   /**< items                            */
+    double utilization_sum{ 0.0 }; /**< occupancy / capacity             */
+    occupancy_histogram hist;
+
+    /** One probe. size() and capacity() are two separate loads; a racing
+     *  resize between them can yield size > capacity (or a stale
+     *  capacity), so clamp before accumulating. */
+    void add( const std::size_t size, const std::size_t capacity ) noexcept
+    {
+        const auto occ = capacity != 0 && size > capacity ? capacity : size;
+        const double util =
+            capacity == 0 ? 0.0
+                          : static_cast<double>( occ ) /
+                                static_cast<double>( capacity );
+        ++ticks;
+        busy_ticks += occ != 0 ? 1 : 0;
+        full_ticks += capacity != 0 && occ == capacity ? 1 : 0;
+        occupancy_sum += static_cast<double>( occ );
+        utilization_sum += util;
+        hist.add( util );
+    }
+};
+
 /** Per-stream statistics over one application run. */
 struct stream_stats
 {
@@ -148,8 +167,12 @@ struct stream_stats
     double mean_utilization{ 0.0 };    /**< occupancy / capacity           */
     occupancy_histogram occupancy;
 
-    double service_rate_hz{ 0.0 };     /**< pops per wall second           */
-    double arrival_rate_hz{ 0.0 };     /**< pushes per wall second         */
+    /** Whole-run corrected rates (the elastic estimator's corrections,
+     *  runtime/elastic/estimator.hpp): pops per non-empty second and
+     *  pushes per non-full second, the fractions floored at 0.05. */
+    double service_rate_hz{ 0.0 };
+    double arrival_rate_hz{ 0.0 };
+    /** Observed bytes popped per wall second (uncorrected). */
     double throughput_bytes_per_s{ 0.0 };
 
     /** Median occupancy fraction over the sampled run. */
@@ -168,13 +191,6 @@ struct stream_stats
     double p99_utilization() const noexcept
     {
         return occupancy.quantile( 0.99 );
-    }
-
-    /** 99th-percentile occupancy in items (fraction × final capacity). */
-    double p99_occupancy() const noexcept
-    {
-        return p99_utilization() *
-               static_cast<double>( final_capacity );
     }
 };
 
@@ -390,7 +406,7 @@ struct elastic_group_report
     double mu_hz{ 0.0 };         /**< non-blocking service rate / replica */
     double rho{ 0.0 };           /**< λ / (μ · active)                    */
 
-    /** Input-stream occupancy quantiles sampled at every control tick
+    /** Input-stream occupancy quantiles over every monitor tick
      *  (occupancy_histogram::p50/p95 — the distribution the thresholds
      *  acted on, not just its mean). */
     double input_p50_utilization{ 0.0 };

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/monitor.hpp"
 #include "runtime/telemetry/metrics.hpp"
 #include "runtime/telemetry/trace.hpp"
 
@@ -21,17 +22,6 @@ void supervisor::register_kernel( kernel *k )
     const auto *p = k->restart();
     s.policy      = p != nullptr ? *p : opts_.default_restart;
     kernels_.push_back( std::move( s ) );
-}
-
-void supervisor::watch_stream( fifo_base *f, std::string src,
-                               std::string dst )
-{
-    const std::lock_guard<std::mutex> lock( mutex_ );
-    stream_state s;
-    s.f   = f;
-    s.src = std::move( src );
-    s.dst = std::move( dst );
-    streams_.push_back( std::move( s ) );
 }
 
 supervisor::kernel_state *supervisor::find_locked( const kernel &k )
@@ -110,29 +100,27 @@ void supervisor::clear_canceller()
     canceller_ = nullptr;
 }
 
-std::string supervisor::stall_diagnostics_locked( const std::int64_t now_ns )
+std::string supervisor::stall_diagnostics_locked( const monitor &mon,
+                                                  const std::int64_t now_ns )
 {
-    /** Per-stream occupancy + rate dump, the stats.hpp counters read live:
+    /** Per-stream occupancy + rate dump from the monitor's entries:
      *  enough to see which queue is full (blocked producer) and which is
-     *  empty (starved consumer) when the graph wedged. */
+     *  empty (starved consumer) when the graph wedged. Rates are averages
+     *  since the watchdog's first tick. */
     const double window_s =
-        last_rate_ns_ > 0
-            ? static_cast<double>( now_ns - last_rate_ns_ ) * 1e-9
-            : 0.0;
+        static_cast<double>( now_ns - first_tick_ns_ ) * 1e-9;
     std::ostringstream os;
-    for( auto &s : streams_ )
+    for( const auto &e : mon.streams() )
     {
-        const auto pushed = s.f->total_pushed();
-        const auto popped = s.f->total_popped();
-        os << "  " << s.src << " -> " << s.dst << ": occupancy "
-           << s.f->size() << "/" << s.f->capacity() << ", pushed "
-           << pushed << ", popped " << popped;
+        const auto pushed = e.f->total_pushed();
+        const auto popped = e.f->total_popped();
+        os << "  " << e.info.src_kernel << " -> " << e.info.dst_kernel
+           << ": occupancy " << e.f->size() << "/" << e.f->capacity()
+           << ", pushed " << pushed << ", popped " << popped;
         if( window_s > 0.0 )
         {
-            os << ", rate in "
-               << static_cast<double>( pushed - s.prev_pushed ) / window_s
-               << "/s out "
-               << static_cast<double>( popped - s.prev_popped ) / window_s
+            os << ", rate in " << static_cast<double>( pushed ) / window_s
+               << "/s out " << static_cast<double>( popped ) / window_s
                << "/s";
         }
         os << "\n";
@@ -150,7 +138,7 @@ std::string supervisor::stall_diagnostics_locked( const std::int64_t now_ns )
     return os.str();
 }
 
-void supervisor::on_tick( const std::int64_t now_ns )
+void supervisor::on_tick( const monitor &mon, const std::int64_t now_ns )
 {
     if( opts_.watchdog_deadline.count() <= 0 )
     {
@@ -161,19 +149,17 @@ void supervisor::on_tick( const std::int64_t now_ns )
     {
         const std::lock_guard<std::mutex> lock( mutex_ );
         std::uint64_t progress = 0;
-        for( const auto &s : streams_ )
+        for( const auto &e : mon.streams() )
         {
-            progress += s.f->total_pushed() + s.f->total_popped();
+            progress += e.f->total_pushed() + e.f->total_popped();
         }
         if( last_progress_ns_ == 0 || progress != last_progress_ )
         {
             /** first tick, or the graph moved — rearm **/
-            for( auto &s : streams_ )
+            if( first_tick_ns_ == 0 )
             {
-                s.prev_pushed = s.f->total_pushed();
-                s.prev_popped = s.f->total_popped();
+                first_tick_ns_ = now_ns;
             }
-            last_rate_ns_     = last_progress_ns_ == 0 ? 0 : last_progress_ns_;
             last_progress_    = progress;
             last_progress_ns_ = now_ns;
             stall_flagged_    = false;
@@ -196,7 +182,7 @@ void supervisor::on_tick( const std::int64_t now_ns )
             telemetry::instant_str( "watchdog_stall",
                                     telemetry::cat::supervisor );
         }
-        last_stall_diagnostics_ = stall_diagnostics_locked( now_ns );
+        last_stall_diagnostics_ = stall_diagnostics_locked( mon, now_ns );
         if( !opts_.watchdog_abort || !canceller_ )
         {
             return;

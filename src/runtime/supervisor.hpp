@@ -9,10 +9,11 @@
  * during unwind). Once the policy is exhausted the failure is terminal and
  * the scheduler cancels the whole graph.
  *
- * The supervisor also rides the monitor thread (monitor::attach_supervisor)
- * as a graph-wide watchdog: if no stream pushes or pops a single element
- * for longer than supervision_options::watchdog_deadline, it records a
- * stall, captures per-kernel occupancy/rate diagnostics, and — when
+ * When supervision_options::watchdog_deadline is set, the supervisor also
+ * rides the monitor thread (monitor::attach_supervisor) as a graph-wide
+ * watchdog over the monitor's streams: if no stream pushes or pops a
+ * single element for longer than the deadline, it records a stall,
+ * captures per-stream occupancy/rate diagnostics, and — when
  * watchdog_abort is set — cancels the graph through the canceller callback
  * the scheduler registered, so blocked kernels wake with
  * stream_aborted_exception instead of hanging forever.
@@ -28,10 +29,13 @@
 #include <string>
 #include <vector>
 
-#include "core/fifo.hpp"
 #include "core/kernel.hpp"
 #include "core/options.hpp"
 #include "runtime/stats.hpp"
+
+namespace raft {
+class monitor;
+} /** end namespace raft **/
 
 namespace raft::runtime {
 
@@ -46,8 +50,6 @@ public:
     /** @name registration (call before the run starts) */
     ///@{
     void register_kernel( kernel *k );
-    /** Watch a stream for watchdog progress accounting & diagnostics. */
-    void watch_stream( fifo_base *f, std::string src, std::string dst );
     ///@}
 
     /** Scheduler → supervisor: kernel k's run() threw `what`. */
@@ -67,8 +69,9 @@ public:
     void set_canceller( std::function<void( const std::string & )> c );
     void clear_canceller();
 
-    /** Monitor thread: one watchdog evaluation at time `now_ns`. */
-    void on_tick( std::int64_t now_ns );
+    /** Monitor thread: one watchdog evaluation over mon's streams at time
+     *  `now_ns`. */
+    void on_tick( const monitor &mon, std::int64_t now_ns );
 
     /** Snapshot of the supervision history (any time; thread-safe). */
     supervision_report report() const;
@@ -84,29 +87,19 @@ private:
         std::string last_error;
     };
 
-    struct stream_state
-    {
-        fifo_base *f{ nullptr };
-        std::string src;
-        std::string dst;
-        /** previous-tick totals, for the rate part of the stall dump **/
-        std::uint64_t prev_pushed{ 0 };
-        std::uint64_t prev_popped{ 0 };
-    };
-
     kernel_state *find_locked( const kernel &k );
-    std::string stall_diagnostics_locked( std::int64_t now_ns );
+    std::string stall_diagnostics_locked( const monitor &mon,
+                                          std::int64_t now_ns );
 
     supervision_options opts_;
     mutable std::mutex mutex_;
     std::vector<kernel_state> kernels_;
-    std::vector<stream_state> streams_;
     std::function<void( const std::string & )> canceller_;
 
     /** watchdog state (monitor thread under mutex_) **/
     std::uint64_t last_progress_{ 0 };
+    std::int64_t first_tick_ns_{ 0 };
     std::int64_t last_progress_ns_{ 0 };
-    std::int64_t last_rate_ns_{ 0 };
     bool stall_flagged_{ false };
     std::size_t watchdog_stalls_{ 0 };
     std::string last_stall_diagnostics_;

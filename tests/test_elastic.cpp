@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <thread>
 #include <vector>
 
@@ -82,17 +83,18 @@ TEST( elastic_estimator, ewma_seeds_then_smooths )
 TEST( elastic_estimator, busy_fraction_corrects_service_rate )
 {
     raft::elastic::rate_estimator est( 1.0 ); /** no smoothing **/
+    raft::runtime::stream_sample s;
     /** queue empty half the window: the consumer was starved, so its
      *  observed drain rate is half its true service rate **/
     for( int i = 0; i < 5; ++i )
     {
-        est.tick( 0, 8 );
+        s.add( 0, 8 );
     }
     for( int i = 0; i < 5; ++i )
     {
-        est.tick( 4, 8 );
+        s.add( 4, 8 );
     }
-    est.window( /*pushed*/ 100, /*popped*/ 50, /*dt*/ 1.0 );
+    est.window( s, /*pushed*/ 100, /*popped*/ 50, /*dt*/ 1.0 );
     EXPECT_DOUBLE_EQ( est.busy_fraction(), 0.5 );
     EXPECT_DOUBLE_EQ( est.observed_pop_hz(), 50.0 );
     EXPECT_DOUBLE_EQ( est.service_hz(), 100.0 ); /** 50 / 0.5 **/
@@ -103,14 +105,15 @@ TEST( elastic_estimator, busy_fraction_corrects_service_rate )
 TEST( elastic_estimator, full_fraction_corrects_offered_arrival_rate )
 {
     raft::elastic::rate_estimator est( 1.0 );
+    raft::runtime::stream_sample s;
     /** queue full the whole window: the producer was blocked, so the
      *  observed push rate underestimates the offered load; the non-full
      *  fraction is floored at 0.05 so saturation cannot blow it up **/
     for( int i = 0; i < 10; ++i )
     {
-        est.tick( 8, 8 );
+        s.add( 8, 8 );
     }
-    est.window( /*pushed*/ 10, /*popped*/ 0, /*dt*/ 1.0 );
+    est.window( s, /*pushed*/ 10, /*popped*/ 0, /*dt*/ 1.0 );
     EXPECT_DOUBLE_EQ( est.full_fraction(), 1.0 );
     EXPECT_DOUBLE_EQ( est.arrival_hz(), 10.0 / 0.05 );
 }
@@ -118,10 +121,11 @@ TEST( elastic_estimator, full_fraction_corrects_offered_arrival_rate )
 TEST( elastic_estimator, window_counters_are_deltas )
 {
     raft::elastic::rate_estimator est( 1.0 );
-    est.tick( 1, 8 );
-    est.window( 100, 100, 1.0 );
-    est.tick( 1, 8 );
-    est.window( 130, 120, 1.0 );
+    raft::runtime::stream_sample s;
+    s.add( 1, 8 );
+    est.window( s, 100, 100, 1.0 );
+    s.add( 1, 8 );
+    est.window( s, 130, 120, 1.0 );
     EXPECT_DOUBLE_EQ( est.observed_push_hz(), 30.0 );
     EXPECT_DOUBLE_EQ( est.observed_pop_hz(), 20.0 );
     EXPECT_EQ( est.windows(), 2u );
@@ -325,7 +329,19 @@ TEST( elastic_controller, backpressure_activates_lanes )
     o.elastic.enabled        = true;
     o.elastic.control_period = std::chrono::milliseconds( 1 );
     o.elastic.hysteresis     = 2;
-    raft::elastic::controller ctrl( o );
+    /** the controller estimates every monitor stream; keep predictive
+     *  sizing from growing the saturated input, so only the replica
+     *  actuator answers the backpressure **/
+    o.elastic.predictive_resize = false;
+    /** the controller reads the monitor's samples: register the streams,
+     *  then drive one monitor tick before each controller tick **/
+    raft::monitor mon( o );
+    for( auto *f : std::initializer_list<raft::fifo_base *>{
+             &in, &l0, &l1, &l2 } )
+    {
+        mon.register_stream( f, { "src", "dst", "0", "0", "int" } );
+    }
+    raft::elastic::controller ctrl( o, mon );
 
     raft::replica_group g;
     g.kernel_name = "worker";
@@ -341,17 +357,20 @@ TEST( elastic_controller, backpressure_activates_lanes )
     }
 
     std::int64_t now = 1'000'000'000;
+    mon.tick();
     ctrl.on_tick( now ); /** seeds the control clock **/
     const std::int64_t step = 1'000'001;
     for( int w = 0; w < 2; ++w )
     {
         now += step;
+        mon.tick();
         ctrl.on_tick( now );
     }
     EXPECT_EQ( sp.active(), 2u ); /** one grow after 2 windows **/
     for( int w = 0; w < 2; ++w )
     {
         now += step;
+        mon.tick();
         ctrl.on_tick( now );
     }
     EXPECT_EQ( sp.active(), 3u );
@@ -377,18 +396,21 @@ TEST( elastic_controller, predictively_resizes_filling_stream )
     o.elastic.enabled        = true;
     o.elastic.control_period = std::chrono::milliseconds( 1 );
     o.dynamic_resize         = true;
-    raft::elastic::controller ctrl( o );
-    ctrl.watch_stream( &rb, "src", "dst" );
+    raft::monitor mon( o );
+    mon.register_stream( &rb, { "src", "dst", "0", "0", "int" } );
+    raft::elastic::controller ctrl( o, mon );
 
-    /** non-group streams are probed every 4th δ tick, so drive 4 ticks
-     *  per control window **/
+    /** the controller reads the monitor's sample of every stream, so
+     *  drive one monitor tick before each controller tick **/
     std::int64_t now = 1'000'000'000;
+    mon.tick();
     ctrl.on_tick( now );
     for( int w = 0; w < 3; ++w )
     {
         for( int t = 0; t < 4; ++t )
         {
             now += 250'001;
+            mon.tick();
             ctrl.on_tick( now );
         }
     }

@@ -11,6 +11,8 @@
 
 #include <core/monitor.hpp>
 #include <core/ringbuffer.hpp>
+#include <runtime/elastic/estimator.hpp>
+#include <runtime/supervisor.hpp>
 
 using namespace std::chrono_literals;
 
@@ -203,7 +205,6 @@ TEST( monitor, statistics_accumulate_per_tick )
 {
     raft::run_options opts;
     opts.dynamic_resize = false;
-    opts.collect_stats  = true;
     raft::monitor mon( opts );
     raft::ring_buffer<int> q( 8 );
     mon.register_stream( &q, info( "src_k", "dst_k" ) );
@@ -257,21 +258,87 @@ TEST( monitor, idle_thread_ticks_at_most_once_per_ms )
 {
     /** nothing blocked, nothing requested: the thread sleeps on its
      *  doorbell with a 1 ms cap instead of ticking every δ (10 µs). An
-     *  upper bound, so a loaded host cannot make it flaky. **/
+     *  upper bound, so a loaded host cannot make it flaky. The second
+     *  input attaches a supervisor without a watchdog: an attached
+     *  supervisor must not keep the thread at δ cadence. **/
+    for( const bool supervised : { false, true } )
+    {
+        SCOPED_TRACE( supervised ? "supervised" : "plain" );
+        raft::run_options opts;
+        opts.dynamic_resize = true;
+        raft::supervision_options sopts;
+        sopts.enabled = true;
+        raft::runtime::supervisor sup( sopts );
+        raft::monitor mon( opts );
+        raft::ring_buffer<int> q( 4 );
+        mon.register_stream( &q, info( "a", "b" ) );
+        if( supervised )
+        {
+            mon.attach_supervisor( &sup );
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        mon.start();
+        std::this_thread::sleep_for( 50ms );
+        mon.stop();
+        const auto ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0 )
+                            .count();
+        /** one tick per elapsed ms, plus the first and the final one **/
+        EXPECT_LE( static_cast<double>( mon.ticks() ), ms + 2.0 );
+        EXPECT_GE( mon.ticks(), 2u );
+    }
+}
+
+TEST( monitor, service_rate_is_the_estimators_busy_corrected_rate )
+{
+    /** the ring is empty for half the ticks and holds 5 elements for the
+     *  other half; the consumer drains 50 elements in total. The run
+     *  report and the elastic estimator read the same sample, so both
+     *  report the rate while non-empty: 2 × popped / wall. **/
     raft::run_options opts;
-    opts.dynamic_resize = true;
-    opts.collect_stats  = true;
+    opts.dynamic_resize = false;
     raft::monitor mon( opts );
-    raft::ring_buffer<int> q( 4 );
-    mon.register_stream( &q, info( "a", "b" ) );
-    const auto t0 = std::chrono::steady_clock::now();
-    mon.start();
-    std::this_thread::sleep_for( 50ms );
-    mon.stop();
-    const auto ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0 )
-                        .count();
-    /** one tick per elapsed ms, plus the first and the final one **/
-    EXPECT_LE( static_cast<double>( mon.ticks() ), ms + 2.0 );
-    EXPECT_GE( mon.ticks(), 2u );
+    raft::ring_buffer<int> q( 8 );
+    mon.register_stream( &q, info( "src_k", "dst_k" ) );
+    for( int t = 0; t < 10; ++t )
+    {
+        mon.tick(); /** empty **/
+    }
+    for( int t = 0; t < 10; ++t )
+    {
+        for( int i = 0; i < 5; ++i )
+        {
+            q.push( i );
+        }
+        mon.tick(); /** 5/8 **/
+        for( int i = 0; i < 5; ++i )
+        {
+            int v = 0;
+            q.pop( v );
+        }
+    }
+
+    const double wall = 0.5;
+    raft::runtime::perf_snapshot snap;
+    mon.collect( snap, wall );
+    ASSERT_EQ( snap.streams.size(), 1u );
+    const auto &s = snap.streams.front();
+    ASSERT_EQ( s.popped, 50u );
+    EXPECT_EQ( s.samples, 20u );
+    EXPECT_DOUBLE_EQ( s.service_rate_hz,
+                      2.0 * static_cast<double>( s.popped ) / wall );
+    /** never full: the offered arrival rate is the observed one **/
+    EXPECT_DOUBLE_EQ( s.arrival_rate_hz,
+                      static_cast<double>( s.pushed ) / wall );
+    /** throughput stays the raw observed rate **/
+    EXPECT_DOUBLE_EQ( s.throughput_bytes_per_s,
+                      static_cast<double>( s.popped ) * sizeof( int ) /
+                          wall );
+
+    raft::elastic::rate_estimator est( 1.0 );
+    est.window( mon.streams().front().sample, q.total_pushed(),
+                q.total_popped(), wall );
+    EXPECT_DOUBLE_EQ( est.busy_fraction(), 0.5 );
+    EXPECT_DOUBLE_EQ( est.service_hz(), s.service_rate_hz );
+    EXPECT_DOUBLE_EQ( est.arrival_hz(), s.arrival_rate_hz );
 }

@@ -203,7 +203,6 @@ TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
      *  completed resize wakes the parked writer **/
     raft::run_options opts;
     opts.dynamic_resize = true;
-    opts.collect_stats  = true;
     raft::monitor mon( opts );
     ring_buffer<std::uint64_t> q( 2 );
     mon.register_stream( &q, raft::monitor::stream_info{
