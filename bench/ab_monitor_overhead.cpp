@@ -20,13 +20,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <raft.hpp>
+
+#include "host_json.hpp"
 
 namespace {
 
@@ -235,34 +236,13 @@ elastic_ab_result run_elastic_ab( const int reps )
     return r;
 }
 
-/** Same host fields as ab_telemetry's --quick output. */
-std::string cpu_model()
-{
-    std::ifstream f( "/proc/cpuinfo" );
-    std::string line;
-    while( std::getline( f, line ) )
-    {
-        if( line.rfind( "model name", 0 ) == 0 )
-        {
-            const auto colon = line.find( ':' );
-            return line.substr( line.find_first_not_of( " \t", colon + 1 ) );
-        }
-    }
-    return "unknown";
-}
-
 int run_quick()
 {
     const auto r = run_elastic_ab( 9 );
     std::printf( "{\n" );
     std::printf( "  \"elastic\":\n  {\n" );
     std::printf( "    \"bench\": \"elastic_ab\",\n" );
-    std::printf( "    \"host\": {\n" );
-    std::printf( "      \"cpu_model\": \"%s\",\n", cpu_model().c_str() );
-    std::printf( "      \"nproc\": %u,\n",
-                 std::thread::hardware_concurrency() );
-    std::printf( "      \"compiler\": \"%s\"\n", __VERSION__ );
-    std::printf( "    },\n" );
+    bench::print_host_json( "    " );
     std::printf( "    \"control_loop_overhead\": {\n" );
     std::printf( "      \"items\": 2000000,\n" );
     std::printf( "      \"monitor_wall_s\": %.4f,\n", r.base_wall );

@@ -34,13 +34,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <raft.hpp>
+
+#include "host_json.hpp"
 
 namespace {
 
@@ -140,33 +141,13 @@ ab_result interleaved_ab( const int per_arm, BaseFn base, TestFn test )
     return r;
 }
 
-std::string cpu_model()
-{
-    std::ifstream f( "/proc/cpuinfo" );
-    std::string line;
-    while( std::getline( f, line ) )
-    {
-        if( line.rfind( "model name", 0 ) == 0 )
-        {
-            const auto colon = line.find( ':' );
-            return line.substr( line.find_first_not_of( " \t", colon + 1 ) );
-        }
-    }
-    return "unknown";
-}
-
 void print_quick_json( const ab_result &off, const ab_result &metrics,
                        const ab_result &full, const ab_result &thr )
 {
     std::printf( "{\n" );
     std::printf( "  \"telemetry\":\n  {\n" );
     std::printf( "    \"bench\": \"telemetry_ab\",\n" );
-    std::printf( "    \"host\": {\n" );
-    std::printf( "      \"cpu_model\": \"%s\",\n", cpu_model().c_str() );
-    std::printf( "      \"nproc\": %u,\n",
-                 std::thread::hardware_concurrency() );
-    std::printf( "      \"compiler\": \"%s\"\n", __VERSION__ );
-    std::printf( "    },\n" );
+    bench::print_host_json( "    " );
     std::printf( "    \"items\": %zu,\n", items );
     std::printf( "    \"disabled_overhead\": {\n" );
     std::printf( "      \"plain_wall_s\": %.4f,\n", off.base_wall );

@@ -19,6 +19,8 @@
 #include <core/kernel.hpp>
 #include <core/ringbuffer.hpp>
 
+#include "host_json.hpp"
+
 namespace {
 
 struct harness
@@ -268,9 +270,9 @@ int run_quick_ab()
 
     const auto scalar  = time_mode( false );
     const auto batched = time_mode( true );
-    std::printf( "{\n"
-                 "  \"bench\": \"port_bulk_ab\",\n"
-                 "  \"batch\": %zu,\n"
+    std::printf( "{\n  \"bench\": \"port_bulk_ab\",\n" );
+    bench::print_host_json( "  " );
+    std::printf( "  \"batch\": %zu,\n"
                  "  \"items\": %zu,\n"
                  "  \"scalar_ns_per_item\": %.3f,\n"
                  "  \"batched_ns_per_item\": %.3f,\n"

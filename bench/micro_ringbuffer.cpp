@@ -22,6 +22,8 @@
 
 #include <core/ringbuffer.hpp>
 
+#include "host_json.hpp"
+
 namespace {
 
 void bm_push_pop_single_thread( benchmark::State &state )
@@ -369,9 +371,9 @@ int run_quick_ab()
     const auto th_batched =
         ns_per_item_best_of( reps, spsc_items, ab_batched_threaded );
 
+    std::printf( "{\n  \"bench\": \"fifo_bulk_ab\",\n" );
+    bench::print_host_json( "  " );
     std::printf(
-        "{\n"
-        "  \"bench\": \"fifo_bulk_ab\",\n"
         "  \"batch\": %zu,\n"
         "  \"single_thread\": {\n"
         "    \"capacity\": %zu,\n"

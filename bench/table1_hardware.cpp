@@ -13,25 +13,9 @@
 
 #include <sys/utsname.h>
 
-namespace {
+#include "host_json.hpp"
 
-std::string cpu_model()
-{
-    std::ifstream f( "/proc/cpuinfo" );
-    std::string line;
-    while( std::getline( f, line ) )
-    {
-        if( line.rfind( "model name", 0 ) == 0 )
-        {
-            const auto colon = line.find( ':' );
-            if( colon != std::string::npos )
-            {
-                return line.substr( colon + 2 );
-            }
-        }
-    }
-    return "unknown";
-}
+namespace {
 
 double ram_gb()
 {
@@ -60,7 +44,7 @@ int main()
     std::printf( "%-18s %-8s %-10s %s\n", "Processor", "Cores", "RAM",
                  "OS Version" );
     std::printf( "%-18.18s %-8u %-7.1f GB Linux %s\n",
-                 cpu_model().c_str(),
+                 bench::cpu_model().c_str(),
                  std::thread::hardware_concurrency(), ram_gb(),
                  u.release );
     std::printf( "\npaper reference: Intel Xeon E5-2650, 16 cores, "

@@ -2,7 +2,22 @@
  * ring_model.hpp — the core ring buffer's lock-free protocol,
  * re-instantiated over mc::atomic so mc::explore() can model-check it.
  *
- * This mirrors src/core/ringbuffer.hpp operation for operation:
+ * Each model operation corresponds to one path of src/core/ringbuffer.hpp,
+ * where every typed operation wraps one claim/commit pair per end:
+ *
+ *   - try_push    = claim_write( 1, no wait ), one slot built,
+ *                   commit_write( 1 ) (ring_buffer::try_push);
+ *   - push        = the same with wait: a full ring parks as await_space
+ *                   does (ring_buffer::push);
+ *   - try_pop     = claim_read( 1, 1, no wait ), one element taken,
+ *                   commit_read( 1 ), then await_data's abort-then-drained
+ *                   check on a miss (ring_buffer::try_pop / pop);
+ *   - pop         = the same with wait, parking as await_data does;
+ *   - try_resize  = ring_buffer::resize();
+ *   - close_write / abort = the ring's lifecycle calls.
+ *
+ * Windows, recycle and transfers run the same pair with n > 1; the model
+ * covers the pair at n = 1, not the n > 1 index arithmetic. It keeps:
  *
  *   - monotonic head_/tail_ counters, release publication, relaxed reads
  *     of the own end;
@@ -191,7 +206,7 @@ public:
     }
 
     /** blocking push; returns false when the stream was aborted while
-     *  this end was blocked (mirrors throw_if_aborted_write) */
+     *  this end was blocked (mirrors await_space's abort check) */
     bool push( const int v )
     {
         retry_guard g;

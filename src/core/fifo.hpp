@@ -5,19 +5,31 @@
  * (paper §1). This header defines:
  *
  *  - fifo_base : the type-erased interface the runtime (monitor thread,
- *                split/reduce adapters, allocator, statistics) works with;
- *  - fifo<T>   : the typed interface kernels use through their ports, with
- *                blocking push/pop, claim-based peek, sliding-window
- *                peek_range (§3), and try_* variants for adapters;
+ *                split/reduce adapters, allocator, statistics, port::raw())
+ *                works with;
+ *  - fifo<T>   : the typed stream, an alias of its one implementation,
+ *                ring_buffer<T> (ringbuffer.hpp). Every typed operation
+ *                there (push/pop, try_*, the _n bulk calls, windows,
+ *                recycle, transfers) wraps one claim/commit pair per ring
+ *                end;
  *  - autorelease<T> / allocate_ref<T> : the RAII return objects behind the
  *                pop_s / allocate_s accessors of Figure 2 — items are popped
  *                from the incoming queue / published to the outgoing queue
- *                when the object exits the calling scope;
- *  - peek_range_t<T> : a window over n queued items without copying.
+ *                when the object exits the calling scope. They hold a
+ *                one-element read / write claim;
+ *  - peek_range_t<T> : a window over n queued items without copying;
+ *  - write_window_t<T> / read_window_t<T> : the bulk duals, holding an
+ *                n-slot claim.
  *
- * Concrete implementation: ring_buffer<T> (ringbuffer.hpp); the TCP link of
- * the distributed substrate wraps a ring_buffer with pump threads
- * (net/tcp_link.hpp), so kernels observe identical semantics either way.
+ * All blocking operations honour end-of-stream: a blocked read on a drained
+ * queue throws closed_port_exception, a blocked write on a reader-closed
+ * queue likewise — the scheduler treats that exception as normal kernel
+ * completion. A held claim (peek(), peek_range(), a window, an RAII
+ * accessor) holds its end's handshake, so the monitor cannot resize storage
+ * out from under a borrowed reference; unpeek() or the RAII destructor
+ * releases it. The TCP link of the distributed substrate wraps a
+ * ring_buffer with pump threads (net/tcp_link.hpp), so kernels observe
+ * identical semantics either way.
  */
 #pragma once
 
@@ -31,7 +43,7 @@
 
 namespace raft {
 
-template <class T> class fifo;
+template <class T> class ring_buffer;
 template <class T> class autorelease;
 template <class T> class allocate_ref;
 template <class T> class peek_range_t;
@@ -117,29 +129,28 @@ public:
     virtual void set_doorbell( detail::doorbell *bell ) noexcept = 0;
     ///@}
 
-    /** Consume n elements without reading them (type-erased so ports can
-     *  expose it without a template parameter; releases any held claim). */
+    /** Consume n elements without reading them, blocking until all n
+     *  have arrived (type-erased so ports can expose it without a
+     *  template parameter). */
     virtual void recycle( std::size_t n = 1 ) = 0;
 
     /** @name adapters */
     ///@{
     /**
-     * Move one element (with its signal) from this queue into dst, which
-     * must carry the same element type. Non-blocking: returns false if this
-     * queue is empty, dst is full, or the types differ. Used by the default
-     * split/reduce adapters so they remain fully type-erased.
-     */
-    virtual bool try_transfer_to( fifo_base &dst ) = 0;
-    /**
-     * Batched variant: move up to max_n elements (with their signals) into
-     * dst under a single handshake entry per queue end and one index
-     * publication per contiguous run. Returns the number moved (0 when this
-     * queue is empty, dst is full, or the types differ). May throw
-     * closed_port_exception if dst's reader terminated, exactly like
-     * try_transfer_to.
+     * Move up to max_n elements (with their signals) into dst, which must
+     * carry the same element type, under one claim per queue end and one
+     * index publication each. Non-blocking: returns the number moved (0
+     * when this queue is empty, dst is full, or the types differ). Throws
+     * closed_port_exception if dst's reader terminated. Used by the
+     * default split/reduce adapters so they remain fully type-erased.
      */
     virtual std::size_t try_transfer_n( fifo_base &dst,
                                         std::size_t max_n ) = 0;
+    /** Move one element; false when none moved. */
+    bool try_transfer_to( fifo_base &dst )
+    {
+        return try_transfer_n( dst, 1 ) == 1;
+    }
     ///@}
 
     /** @name introspection */
@@ -194,192 +205,12 @@ private:
 };
 
 /**
- * Typed FIFO interface. All blocking operations honour end-of-stream: a
- * blocked read on a drained queue throws closed_port_exception, a blocked
- * write on a reader-closed queue likewise — the scheduler treats that
- * exception as normal kernel completion.
- *
- * Claim discipline (single-producer / single-consumer): peek()/peek_range()
- * hold the consumer-side claim so the monitor cannot resize storage out from
- * under a borrowed reference; the claim is released by pop()/recycle()/
- * unpeek() or by the RAII wrapper's destructor.
+ * The typed stream kernels use through their ports. It has one
+ * implementation, so it is the ring itself: blocking push/pop, claim-based
+ * peek, sliding-window peek_range (§3), batched windows and try_* variants
+ * for adapters all live on ring_buffer<T>.
  */
-template <class T> class fifo : public fifo_base
-{
-public:
-    using value_type = T;
-
-    /** @name blocking element operations */
-    ///@{
-    virtual void push( const T &value, signal sig = none ) = 0;
-    virtual void push( T &&value, signal sig = none )      = 0;
-    virtual void pop( T &out, signal *sig = nullptr )      = 0;
-
-    /** Borrow the head element; holds the consumer claim (see class docs). */
-    virtual const T &peek( signal *sig = nullptr ) = 0;
-    /** Release a claim taken by peek() without consuming the element. */
-    virtual void unpeek() noexcept = 0;
-    ///@}
-
-    /** @name non-blocking variants (adapters, pool scheduler) */
-    ///@{
-    virtual bool try_push( T &&value, signal sig = none ) = 0;
-    virtual bool try_pop( T &out, signal *sig = nullptr ) = 0;
-    ///@}
-
-    /** @name claim primitives behind the RAII accessors */
-    ///@{
-    /** Block until an element is readable, take the consumer claim and
-     *  return a reference to the head element. */
-    virtual T &claim_head( signal &sig ) = 0;
-    /** Consume the claimed head and release the claim. */
-    virtual void consume_head() noexcept = 0;
-    /** Release the claim without consuming. */
-    virtual void release_head() noexcept = 0;
-    /** Block until a slot is writable, take the producer claim and return a
-     *  pointer to a default-constructed element in place. */
-    virtual T *claim_tail() = 0;
-    /** Publish the claimed tail slot with signal `sig`, release the claim. */
-    virtual void publish_tail( signal sig ) noexcept = 0;
-    /** Destroy the claimed tail slot unpublished, release the claim. */
-    virtual void abandon_tail() noexcept = 0;
-    /** Block until n elements are readable (growing the queue through the
-     *  monitor if n exceeds capacity), take the consumer claim and return
-     *  the window geometry: base slot array, logical start, index mask. */
-    virtual void claim_window( std::size_t n,
-                               T **data,
-                               std::uint64_t *start,
-                               std::size_t *mask ) = 0;
-    ///@}
-
-    /** @name batched transfer primitives
-     * The window claims are the bulk duals of claim_tail/claim_head: N
-     * contiguous slots are acquired under a single resize-gate handshake
-     * entry and published/consumed with a single index store. A held window
-     * parks the monitor exactly like a held claim_head — the resize protocol
-     * is unchanged. Partial semantics: claims return at least 1 and at most
-     * max_n slots (whatever is free/occupied when the claim succeeds), so
-     * callers batch opportunistically without adding latency.
-     */
-    ///@{
-    /** Move up to n elements from src[0..n) into the queue (non-blocking).
-     *  Returns the number actually transferred; moved-from sources are left
-     *  in their moved-from state (the caller owns their destruction). sigs
-     *  may be null (every element ships signal `none`). */
-    virtual std::size_t try_push_n( T *src, std::size_t n,
-                                    const signal *sigs = nullptr ) = 0;
-    /** Pop up to n elements into dst[0..n) (non-blocking). Returns the
-     *  number transferred; sigs (if non-null) receives the per-element
-     *  signals. */
-    virtual std::size_t try_pop_n( T *dst, std::size_t n,
-                                   signal *sigs = nullptr ) = 0;
-    /** Block until at least one slot is writable, default-construct
-     *  min(max_n, space) slots, take the producer claim and return the
-     *  claimed count plus window geometry (slot array, signal array,
-     *  logical start, index mask). Throws closed_port_exception when the
-     *  reader terminated. */
-    virtual std::size_t claim_write_window( std::size_t max_n,
-                                            T **data,
-                                            signal **sigs,
-                                            std::uint64_t *start,
-                                            std::size_t *mask ) = 0;
-    /** Publish the first n of `claimed` window slots (single index store),
-     *  destroy the rest, release the producer claim. */
-    virtual void publish_write_window( std::size_t claimed,
-                                       std::size_t n ) noexcept = 0;
-    /** Block until at least one element is readable, take the consumer
-     *  claim and return min(max_n, occupancy) plus the window geometry.
-     *  Throws closed_port_exception once drained and closed. */
-    virtual std::size_t claim_read_window( std::size_t max_n,
-                                           T **data,
-                                           signal **sigs,
-                                           std::uint64_t *start,
-                                           std::size_t *mask ) = 0;
-    /** Destroy the first n claimed elements, advance the head with a single
-     *  index store, release the consumer claim. */
-    virtual void consume_read_window( std::size_t n ) noexcept = 0;
-    ///@}
-
-    /** @name sugar: the Figure 2 access style */
-    ///@{
-    autorelease<T> pop_s() { return autorelease<T>( *this ); }
-    allocate_ref<T> allocate_s() { return allocate_ref<T>( *this ); }
-    peek_range_t<T> peek_range( const std::size_t n )
-    {
-        return peek_range_t<T>( *this, n );
-    }
-    /** Bulk dual of allocate_s(): an RAII window of up to n writable slots,
-     *  published at scope exit. */
-    write_window_t<T> write_window( const std::size_t n )
-    {
-        return write_window_t<T>( *this, n );
-    }
-    /** Bulk dual of pop_s(): an RAII window over up to n readable elements,
-     *  consumed at scope exit. */
-    read_window_t<T> read_window( const std::size_t n )
-    {
-        return read_window_t<T>( *this, n );
-    }
-    ///@}
-
-    /** @name blocking bulk helpers (window-based, single publication per
-     *  claimed run) */
-    ///@{
-    /** Push all n elements of src, blocking as needed; the signals array
-     *  (when non-null) travels element-for-element. */
-    void push_n( T *src, const std::size_t n, const signal *sigs = nullptr )
-    {
-        std::size_t done = 0;
-        while( done < n )
-        {
-            T *data            = nullptr;
-            signal *slot_sigs  = nullptr;
-            std::uint64_t start = 0;
-            std::size_t mask    = 0;
-            const auto k = claim_write_window( n - done, &data, &slot_sigs,
-                                               &start, &mask );
-            for( std::size_t i = 0; i < k; ++i )
-            {
-                data[ ( start + i ) & mask ] = std::move( src[ done + i ] );
-                if( sigs != nullptr )
-                {
-                    slot_sigs[ ( start + i ) & mask ] = sigs[ done + i ];
-                }
-            }
-            publish_write_window( k, k );
-            done += k;
-        }
-    }
-
-    /** Pop between 1 and max_n elements into dst, blocking until at least
-     *  one is available. Returns the count. */
-    std::size_t pop_n( T *dst, const std::size_t max_n,
-                       signal *sigs = nullptr )
-    {
-        T *data            = nullptr;
-        signal *slot_sigs  = nullptr;
-        std::uint64_t start = 0;
-        std::size_t mask    = 0;
-        const auto k = claim_read_window( max_n, &data, &slot_sigs, &start,
-                                          &mask );
-        for( std::size_t i = 0; i < k; ++i )
-        {
-            dst[ i ] = std::move( data[ ( start + i ) & mask ] );
-            if( sigs != nullptr )
-            {
-                sigs[ i ] = slot_sigs[ ( start + i ) & mask ];
-            }
-        }
-        consume_read_window( k );
-        return k;
-    }
-    ///@}
-
-    const std::type_info &value_type_info() const noexcept
-    {
-        return typeid( T );
-    }
-};
+template <class T> using fifo = ring_buffer<T>;
 
 /**
  * RAII result of pop_s(): a reference to the head of the incoming queue that

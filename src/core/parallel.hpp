@@ -14,7 +14,7 @@
  *        u ──> k ──> v        with        u ─> split ─> k₀..k_{W-1} ─> reduce ─> v
  *
  * for W replicas. Both adapters are type-erased: they move elements between
- * same-typed streams through fifo_base::try_transfer_to, so one
+ * same-typed streams through fifo_base::try_transfer_n, so one
  * implementation serves every element type.
  */
 #pragma once

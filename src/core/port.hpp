@@ -23,7 +23,6 @@
 
 #include "core/defs.hpp"
 #include "core/exceptions.hpp"
-#include "core/fifo.hpp"
 #include "core/ringbuffer.hpp"
 
 namespace raft {
@@ -148,7 +147,7 @@ public:
     }
 
     /** constrained to true rvalues so a deduced lvalue push( v ) selects
-     *  the const-ref overload above instead of instantiating fifo<T&> */
+     *  the const-ref overload above instead of instantiating ring_buffer<T&> */
     template <class T,
               typename std::enable_if<!std::is_lvalue_reference<T>::value,
                                       int>::type = 0>
@@ -250,7 +249,7 @@ public:
      * Typed view of the bound stream; throws type_mismatch_exception when T
      * differs from the declared element type.
      */
-    template <class T> fifo<T> &typed()
+    template <class T> ring_buffer<T> &typed()
     {
         ensure_bound();
         if( std::type_index( typeid( T ) ) != meta_.index )
@@ -260,7 +259,7 @@ public:
                 ", accessed as " +
                 detail::demangle( typeid( T ) ) );
         }
-        return *static_cast<fifo<T> *>( fifo_ );
+        return *static_cast<ring_buffer<T> *>( fifo_ );
     }
 
 private:

@@ -14,15 +14,29 @@
  * consumer caches tail_). The cached value only lags the real one, so using
  * it is always conservative (the producer under-estimates free space, the
  * consumer under-estimates occupancy); the real counter is re-read only when
- * the cache implies full/empty. In steady state the remote cache line is
- * touched once per buffer-full of elements instead of once per element.
+ * the cache cannot cover the request (one slot for a scalar call). In
+ * steady state the remote cache line is touched once per buffer-full of
+ * elements instead of once per element.
  * resize() re-seeds both caches while the ends are parked — the gate
  * handshake orders those plain writes against the owning thread's accesses.
  *
- * Batched windows: claim_write_window/claim_read_window acquire N contiguous
- * slots under a single handshake entry and publish/consume them with one
- * index store. A held window parks the monitor exactly like a held
- * claim_head, so resize-gate semantics are unchanged.
+ * One claim/commit pair per end. The producer's claim_write takes the
+ * handshake and returns 1..max_n free slots; commit_write publishes n of
+ * them with one tail_ store and one wake-up, then releases the handshake.
+ * The consumer's claim_read (min_n..max_n elements) and commit_read
+ * (destroy n, one head_ store, wake, release) mirror them. The gate
+ * handshake, the shadow-index reload, publication, wake-up and
+ * spin-then-park therefore exist once per end. Every typed operation wraps
+ * the pair: push, try_push, try_push_n and push_n claim, build and commit
+ * (produce); pop, try_pop, try_pop_n, pop_n and recycle claim, take and
+ * commit (consume); try_transfer_n is a consumer claim, a produce on the
+ * destination and a consumer commit of the count moved. The held claims
+ * are the same pair split across calls: the write and read windows,
+ * claim_tail/publish_tail/abandon_tail (allocate_s), claim_head/
+ * consume_head/release_head (pop_s, peek) and claim_window (peek_range),
+ * so a held window parks the monitor exactly like any other claim. An
+ * element constructor or assignment that throws commits the elements
+ * completed before it and releases the handshake.
  *
  * Static streams: set_auto_resize(false) declares that no resize() will run
  * concurrently with traffic (the monitor never gates a static stream), which
@@ -123,7 +137,7 @@
 
 namespace raft {
 
-template <class T> class ring_buffer final : public fifo<T>
+template <class T> class ring_buffer final : public fifo_base
 {
 public:
     static constexpr std::size_t min_capacity = 2;
@@ -145,12 +159,8 @@ public:
     ~ring_buffer() override
     {
         const auto h = head_.load( std::memory_order_relaxed );
-        const auto t = tail_.load( std::memory_order_relaxed );
-        const auto m = mask_.load( std::memory_order_relaxed );
-        for( auto i = h; i != t; ++i )
-        {
-            data_[ i & m ].~T();
-        }
+        destroy( h, static_cast<std::size_t>(
+                        tail_.load( std::memory_order_relaxed ) - h ) );
         ::operator delete( static_cast<void *>( data_ ),
                            std::align_val_t( alignof( T ) ) );
         delete[] sigs_;
@@ -355,43 +365,6 @@ public:
 
     /** @name fifo_base: adapters */
     ///@{
-    bool try_transfer_to( fifo_base &dstb ) override
-    {
-        if( dstb.value_type() != typeid( T ) )
-        {
-            return false;
-        }
-        auto &dst = static_cast<fifo<T> &>( dstb );
-        enter( cons_ );
-        const auto h = head_.load( std::memory_order_relaxed );
-        const auto t = cons_tail( h );
-        bool ok = false;
-        if( t != h )
-        {
-            const auto m = mask_.load( std::memory_order_relaxed );
-            T &slot      = data_[ h & m ];
-            bool pushed  = false;
-            try
-            {
-                pushed = dst.try_push( std::move( slot ), sigs_[ h & m ] );
-            }
-            catch( ... )
-            {
-                leave( cons_ );
-                throw;
-            }
-            if( pushed )
-            {
-                slot.~T();
-                head_.store( h + 1, std::memory_order_release );
-                notify( prod_bit );
-                ok = true;
-            }
-        }
-        leave( cons_ );
-        return ok;
-    }
-
     std::size_t try_transfer_n( fifo_base &dstb,
                                 const std::size_t max_n ) override
     {
@@ -399,57 +372,23 @@ public:
         {
             return 0;
         }
-        auto &dst = static_cast<fifo<T> &>( dstb );
-        enter( cons_ );
-        const auto h     = head_.load( std::memory_order_relaxed );
-        const auto t     = cons_tail( h );
-        const auto avail = static_cast<std::size_t>( t - h );
-        std::size_t done = 0;
-        if( avail > 0 )
+        auto &dst       = static_cast<ring_buffer &>( dstb );
+        std::uint64_t h = 0;
+        const auto k    = claim_read( 1, max_n, false, h );
+        if( k == 0 )
         {
-            const auto m    = mask_.load( std::memory_order_relaxed );
-            const auto want = std::min( avail, max_n );
-            /** the run is at most two contiguous segments around the wrap;
-             *  each segment moves under one handshake entry on dst **/
-            try
-            {
-                while( done < want )
-                {
-                    const auto idx = static_cast<std::size_t>(
-                        ( h + done ) & m );
-                    const auto seg =
-                        std::min( want - done, ( m + 1 ) - idx );
-                    const auto k =
-                        dst.try_push_n( data_ + idx, seg, sigs_ + idx );
-                    for( std::size_t i = 0; i < k; ++i )
-                    {
-                        data_[ idx + i ].~T();
-                    }
-                    done += k;
-                    if( k < seg )
-                    {
-                        break; /** dst full **/
-                    }
-                }
-            }
-            catch( ... )
-            {
-                if( done > 0 )
-                {
-                    head_.store( h + done, std::memory_order_release );
-                    notify( prod_bit );
-                }
-                leave( cons_ );
-                throw;
-            }
-            if( done > 0 )
-            {
-                head_.store( h + done, std::memory_order_release );
-                notify( prod_bit );
-            }
+            return 0;
         }
-        leave( cons_ );
-        return done;
+        /** consumes exactly what dst built, also when a move throws **/
+        commit_guard<false> moved{ *this, h };
+        const auto m = mask_.load( std::memory_order_relaxed );
+        dst.produce( k, false, [ & ]( void *slot, signal &s, std::size_t ) {
+            const auto idx = ( h + moved.n ) & m;
+            ::new( slot ) T( std::move( data_[ idx ] ) );
+            s = sigs_[ idx ];
+            ++moved.n;
+        } );
+        return moved.n;
     }
     ///@}
 
@@ -512,67 +451,30 @@ public:
     }
     ///@}
 
-    /** @name fifo<T>: blocking operations */
+    /** @name blocking operations */
     ///@{
-    void push( const T &value, const signal sig = none ) override
+    void push( const T &value, const signal sig = none )
     {
-        if constexpr( std::is_copy_constructible_v<T> )
-        {
-            emplace_blocking( [ & ]( void *slot ) {
-                ::new( slot ) T( value );
-            }, sig );
-        }
-        else
-        {
-            (void) value;
-            (void) sig;
-            throw raft_exception(
-                "push(const T&) on a move-only element type" );
-        }
+        produce( 1, true, [ & ]( void *slot, signal &s, std::size_t ) {
+            ::new( slot ) T( value );
+            s = sig;
+        } );
     }
 
-    void push( T &&value, const signal sig = none ) override
+    void push( T &&value, const signal sig = none )
     {
-        emplace_blocking( [ & ]( void *slot ) {
-            ::new( slot ) T( std::move( value ) );
-        }, sig );
+        produce( 1, true, moving_from( &value, &sig ) );
     }
 
-    void pop( T &out, signal *sig = nullptr ) override
+    void pop( T &out, signal *sig = nullptr )
     {
-        int spins = 0;
-        for( ;; )
-        {
-            enter( cons_ );
-            const auto h = head_.load( std::memory_order_relaxed );
-            const auto t = cons_tail( h );
-            if( t != h )
-            {
-                const auto m = mask_.load( std::memory_order_relaxed );
-                T &slot      = data_[ h & m ];
-                out          = std::move( slot );
-                if( sig != nullptr )
-                {
-                    *sig = sigs_[ h & m ];
-                }
-                slot.~T();
-                head_.store( h + 1, std::memory_order_release );
-                notify( prod_bit );
-                leave( cons_ );
-                clear_read_block();
-                return;
-            }
-            leave( cons_ );
-            throw_if_aborted_read();
-            throw_if_drained();
-            note_block( cons_ );
-            await_data( spins );
-        }
+        consume( 1, true, moving_to( &out, sig ) );
     }
 
-    const T &peek( signal *sig = nullptr ) override
+    /** Borrow the head element; holds the consumer claim until unpeek(). */
+    const T &peek( signal *sig = nullptr )
     {
-        signal s    = none;
+        signal s     = none;
         const T &ref = claim_head( s );
         if( sig != nullptr )
         {
@@ -581,440 +483,198 @@ public:
         return ref;
     }
 
-    void unpeek() noexcept override { release_head(); }
+    void unpeek() noexcept { release_head(); }
 
     void recycle( const std::size_t n = 1 ) override
     {
-        std::size_t remaining = n;
-        int spins             = 0;
-        while( remaining > 0 )
+        for( auto left = n; left > 0; )
         {
-            enter( cons_ );
-            const auto h = head_.load( std::memory_order_relaxed );
-            const auto t = cons_tail( h, remaining );
-            const auto avail = static_cast<std::size_t>( t - h );
-            if( avail > 0 )
-            {
-                const auto m     = mask_.load( std::memory_order_relaxed );
-                const auto batch = std::min( avail, remaining );
-                for( std::size_t i = 0; i < batch; ++i )
-                {
-                    data_[ ( h + i ) & m ].~T();
-                }
-                head_.store( h + batch, std::memory_order_release );
-                notify( prod_bit );
-                remaining -= batch;
-                leave( cons_ );
-                clear_read_block();
-                spins = 0;
-                continue;
-            }
-            leave( cons_ );
-            throw_if_aborted_read();
-            throw_if_drained();
-            note_block( cons_ );
-            await_data( spins );
+            left -= consume( left, true,
+                             []( T &, const signal &, std::size_t ) {} );
         }
+    }
+
+    /** Push all n elements of src, blocking as needed; the signals array
+     *  (when non-null) travels element-for-element. */
+    void push_n( T *src, const std::size_t n, const signal *sigs = nullptr )
+    {
+        for( std::size_t done = 0; done < n; )
+        {
+            done += produce( n - done, true,
+                             moving_from( src + done,
+                                          sigs ? sigs + done : nullptr ) );
+        }
+    }
+
+    /** Pop between 1 and max_n elements into dst, blocking until at least
+     *  one is available. Returns the count. */
+    std::size_t pop_n( T *dst, const std::size_t max_n,
+                       signal *sigs = nullptr )
+    {
+        return consume( max_n, true, moving_to( dst, sigs ) );
     }
     ///@}
 
-    /** @name fifo<T>: non-blocking operations */
+    /** @name non-blocking operations (adapters, pool scheduler)
+     * The bulk variants move up to n elements under one claim and one
+     * index store; moved-from sources stay with the caller. sigs may be
+     * null (pushed elements then ship `none`). */
     ///@{
-    bool try_push( T &&value, const signal sig = none ) override
+    bool try_push( T &&value, const signal sig = none )
     {
-        if( read_closed() )
-        {
-            throw closed_port_exception(
-                "push on a stream whose reader terminated" );
-        }
-        enter( prod_ );
-        const auto t   = tail_.load( std::memory_order_relaxed );
-        const auto cap = capacity_.load( std::memory_order_relaxed );
-        const auto h   = prod_head( t, cap );
-        bool ok        = false;
-        if( static_cast<std::size_t>( t - h ) < cap )
-        {
-            const auto m = mask_.load( std::memory_order_relaxed );
-            ::new( static_cast<void *>( data_ + ( t & m ) ) )
-                T( std::move( value ) );
-            sigs_[ t & m ] = sig;
-            tail_.store( t + 1, std::memory_order_release );
-            notify( cons_bit );
-            ok = true;
-        }
-        leave( prod_ );
-        return ok;
+        return produce( 1, false, moving_from( &value, &sig ) ) == 1;
     }
 
-    bool try_pop( T &out, signal *sig = nullptr ) override
+    bool try_pop( T &out, signal *sig = nullptr )
     {
-        enter( cons_ );
-        const auto h = head_.load( std::memory_order_relaxed );
-        const auto t = cons_tail( h );
-        bool ok      = false;
-        if( t != h )
-        {
-            const auto m = mask_.load( std::memory_order_relaxed );
-            T &slot      = data_[ h & m ];
-            out          = std::move( slot );
-            if( sig != nullptr )
-            {
-                *sig = sigs_[ h & m ];
-            }
-            slot.~T();
-            head_.store( h + 1, std::memory_order_release );
-            notify( prod_bit );
-            ok = true;
-        }
-        leave( cons_ );
-        return ok;
+        return consume( 1, false, moving_to( &out, sig ) ) == 1;
     }
 
     std::size_t try_push_n( T *src, const std::size_t n,
-                            const signal *sigs = nullptr ) override
+                            const signal *sigs = nullptr )
     {
-        if( n == 0 )
-        {
-            return 0;
-        }
-        if( read_closed() )
-        {
-            throw closed_port_exception(
-                "push on a stream whose reader terminated" );
-        }
-        enter( prod_ );
-        const auto t   = tail_.load( std::memory_order_relaxed );
-        const auto cap = capacity_.load( std::memory_order_relaxed );
-        /** reload the shadow cache when it cannot cover the full batch **/
-        const auto h     = prod_head( t, cap, std::min( n, cap ) );
-        const auto space = cap - static_cast<std::size_t>( t - h );
-        const auto k     = std::min( n, space );
-        if( k > 0 )
-        {
-            const auto m = mask_.load( std::memory_order_relaxed );
-            for( std::size_t i = 0; i < k; ++i )
-            {
-                const auto idx = ( t + i ) & m;
-                ::new( static_cast<void *>( data_ + idx ) )
-                    T( std::move( src[ i ] ) );
-                sigs_[ idx ] = ( sigs != nullptr ) ? sigs[ i ] : none;
-            }
-            tail_.store( t + k, std::memory_order_release );
-            notify( cons_bit );
-        }
-        leave( prod_ );
-        return k;
+        return n == 0 ? 0 : produce( n, false, moving_from( src, sigs ) );
     }
 
     std::size_t try_pop_n( T *dst, const std::size_t n,
-                           signal *sigs = nullptr ) override
+                           signal *sigs = nullptr )
     {
-        if( n == 0 )
-        {
-            return 0;
-        }
-        enter( cons_ );
-        const auto h     = head_.load( std::memory_order_relaxed );
-        const auto t     = cons_tail( h, n );
-        const auto avail = static_cast<std::size_t>( t - h );
-        const auto k     = std::min( n, avail );
-        if( k > 0 )
-        {
-            const auto m = mask_.load( std::memory_order_relaxed );
-            for( std::size_t i = 0; i < k; ++i )
-            {
-                const auto idx = ( h + i ) & m;
-                T &slot        = data_[ idx ];
-                dst[ i ]       = std::move( slot );
-                if( sigs != nullptr )
-                {
-                    sigs[ i ] = sigs_[ idx ];
-                }
-                slot.~T();
-            }
-            head_.store( h + k, std::memory_order_release );
-            notify( prod_bit );
-        }
-        leave( cons_ );
-        return k;
+        return n == 0 ? 0 : consume( n, false, moving_to( dst, sigs ) );
     }
     ///@}
 
-    /** @name fifo<T>: batched window claims */
+    /** @name held claims: windows and the RAII accessors (fifo.hpp)
+     * A claim holds its end's handshake until it is published or
+     * consumed, so a live window or accessor defers resize(). */
     ///@{
-    std::size_t claim_write_window( std::size_t max_n,
+    /** Block until at least one slot is writable, default-construct
+     *  min(max_n, space) slots and return their count plus the window
+     *  geometry (slot array, signal array, logical start, index mask). */
+    std::size_t claim_write_window( const std::size_t max_n,
                                     T **data,
                                     signal **sigs,
                                     std::uint64_t *start,
-                                    std::size_t *mask ) override
+                                    std::size_t *mask )
     {
         static_assert( std::is_default_constructible_v<T>,
-                       "write windows require a default-constructible "
-                       "type" );
-        if( max_n == 0 )
+                       "write windows and allocate_s require a "
+                       "default-constructible type" );
+        const auto k = claim_write( max_n, true, *start );
+        *data        = data_;
+        *sigs        = sigs_;
+        *mask        = mask_.load( std::memory_order_relaxed );
+        std::size_t built = 0;
+        try
         {
-            max_n = 1;
+            for( ; built < k; ++built )
+            {
+                const auto idx = ( *start + built ) & *mask;
+                ::new( static_cast<void *>( data_ + idx ) ) T();
+                sigs_[ idx ] = none;
+            }
         }
-        int spins = 0;
-        for( ;; )
+        catch( ... )
         {
-            if( read_closed() )
-            {
-                throw closed_port_exception(
-                    "allocate_range on a stream whose reader terminated" );
-            }
-            enter( prod_ );
-            const auto t   = tail_.load( std::memory_order_relaxed );
-            const auto cap = capacity_.load( std::memory_order_relaxed );
-            /** need = full request: reload the shadow cache (once per
-             *  window) whenever it cannot cover max_n, so claims come
-             *  back full-sized rather than cache-lag-sized **/
-            const auto h =
-                prod_head( t, cap, std::min( max_n, cap ) );
-            const auto space = cap - static_cast<std::size_t>( t - h );
-            if( space > 0 )
-            {
-                const auto k = std::min( max_n, space );
-                const auto m = mask_.load( std::memory_order_relaxed );
-                for( std::size_t i = 0; i < k; ++i )
-                {
-                    const auto idx = ( t + i ) & m;
-                    ::new( static_cast<void *>( data_ + idx ) ) T();
-                    sigs_[ idx ] = none;
-                }
-                *data  = data_;
-                *sigs  = sigs_;
-                *start = t;
-                *mask  = m;
-                clear_write_block();
-                /** claim held — released by publish_write_window **/
-                return k;
-            }
-            leave( prod_ );
-            throw_if_aborted_write();
-            note_block( prod_ );
-            await_space( spins );
+            publish_write_window( built, 0 );
+            throw;
         }
+        return k;
     }
 
+    /** Publish the first n of `claimed` window slots, destroy the rest. */
     void publish_write_window( const std::size_t claimed,
-                               const std::size_t n ) noexcept override
+                               const std::size_t n ) noexcept
     {
         const auto t = tail_.load( std::memory_order_relaxed );
-        const auto m = mask_.load( std::memory_order_relaxed );
-        for( std::size_t i = n; i < claimed; ++i )
-        {
-            data_[ ( t + i ) & m ].~T();
-        }
-        if( n > 0 )
-        {
-            tail_.store( t + n, std::memory_order_release );
-            notify( cons_bit );
-        }
-        leave( prod_ );
+        destroy( t + n, claimed - n );
+        commit_write( t, n );
     }
 
-    std::size_t claim_read_window( std::size_t max_n,
+    /** Block until at least one element is readable and return
+     *  min(max_n, occupancy) plus the window geometry. */
+    std::size_t claim_read_window( const std::size_t max_n,
                                    T **data,
                                    signal **sigs,
                                    std::uint64_t *start,
-                                   std::size_t *mask ) override
+                                   std::size_t *mask )
     {
-        if( max_n == 0 )
-        {
-            max_n = 1;
-        }
-        int spins = 0;
-        for( ;; )
-        {
-            enter( cons_ );
-            const auto h = head_.load( std::memory_order_relaxed );
-            /** same full-request reload policy as claim_write_window **/
-            const auto t     = cons_tail( h, max_n );
-            const auto avail = static_cast<std::size_t>( t - h );
-            if( avail > 0 )
-            {
-                *data  = data_;
-                *sigs  = sigs_;
-                *start = h;
-                *mask  = mask_.load( std::memory_order_relaxed );
-                clear_read_block();
-                /** claim held — released by consume_read_window **/
-                return std::min( max_n, avail );
-            }
-            leave( cons_ );
-            throw_if_aborted_read();
-            throw_if_drained();
-            note_block( cons_ );
-            await_data( spins );
-        }
+        const auto k = claim_read( 1, max_n, true, *start );
+        *data        = data_;
+        *sigs        = sigs_;
+        *mask        = mask_.load( std::memory_order_relaxed );
+        return k;
     }
 
-    void consume_read_window( const std::size_t n ) noexcept override
+    /** Destroy the first n claimed elements and advance the head. */
+    void consume_read_window( const std::size_t n ) noexcept
     {
-        const auto h = head_.load( std::memory_order_relaxed );
-        const auto m = mask_.load( std::memory_order_relaxed );
-        for( std::size_t i = 0; i < n; ++i )
-        {
-            data_[ ( h + i ) & m ].~T();
-        }
-        if( n > 0 )
-        {
-            head_.store( h + n, std::memory_order_release );
-            notify( prod_bit );
-        }
-        leave( cons_ );
-    }
-    ///@}
-
-    /** @name fifo<T>: claim primitives */
-    ///@{
-    T &claim_head( signal &sig ) override
-    {
-        int spins = 0;
-        for( ;; )
-        {
-            enter( cons_ );
-            const auto h = head_.load( std::memory_order_relaxed );
-            const auto t = cons_tail( h );
-            if( t != h )
-            {
-                const auto m = mask_.load( std::memory_order_relaxed );
-                sig          = sigs_[ h & m ];
-                clear_read_block();
-                /** claim stays held — released by consume/release_head **/
-                return data_[ h & m ];
-            }
-            leave( cons_ );
-            throw_if_aborted_read();
-            throw_if_drained();
-            note_block( cons_ );
-            await_data( spins );
-        }
+        commit_read( head_.load( std::memory_order_relaxed ), n );
     }
 
-    void consume_head() noexcept override
-    {
-        const auto h = head_.load( std::memory_order_relaxed );
-        const auto m = mask_.load( std::memory_order_relaxed );
-        data_[ h & m ].~T();
-        head_.store( h + 1, std::memory_order_release );
-        notify( prod_bit );
-        leave( cons_ );
-    }
-
-    void release_head() noexcept override { leave( cons_ ); }
-
-    T *claim_tail() override
-    {
-        static_assert( std::is_default_constructible_v<T>,
-                       "allocate_s requires a default-constructible type" );
-        int spins = 0;
-        for( ;; )
-        {
-            if( read_closed() )
-            {
-                throw closed_port_exception(
-                    "allocate on a stream whose reader terminated" );
-            }
-            enter( prod_ );
-            const auto t   = tail_.load( std::memory_order_relaxed );
-            const auto cap = capacity_.load( std::memory_order_relaxed );
-            const auto h   = prod_head( t, cap );
-            if( static_cast<std::size_t>( t - h ) < cap )
-            {
-                const auto m = mask_.load( std::memory_order_relaxed );
-                T *slot = ::new( static_cast<void *>( data_ + ( t & m ) ) ) T();
-                clear_write_block();
-                /** claim stays held — released by publish/abandon_tail **/
-                return slot;
-            }
-            leave( prod_ );
-            throw_if_aborted_write();
-            note_block( prod_ );
-            await_space( spins );
-        }
-    }
-
-    void publish_tail( const signal sig ) noexcept override
-    {
-        const auto t = tail_.load( std::memory_order_relaxed );
-        const auto m = mask_.load( std::memory_order_relaxed );
-        sigs_[ t & m ] = sig;
-        tail_.store( t + 1, std::memory_order_release );
-        notify( cons_bit );
-        leave( prod_ );
-    }
-
-    void abandon_tail() noexcept override
-    {
-        const auto t = tail_.load( std::memory_order_relaxed );
-        const auto m = mask_.load( std::memory_order_relaxed );
-        data_[ t & m ].~T();
-        leave( prod_ );
-    }
-
+    /** Block until n elements are readable (growing the queue through the
+     *  monitor if n exceeds capacity) and return the window geometry. */
     void claim_window( const std::size_t n,
                        T **data,
                        std::uint64_t *start,
-                       std::size_t *mask ) override
+                       std::size_t *mask )
     {
-        int spins = 0;
-        for( ;; )
-        {
-            if( n > capacity() )
-            {
-                if( !auto_resize() )
-                {
-                    throw demand_exceeds_capacity_exception(
-                        "peek_range(" + std::to_string( n ) +
-                        ") exceeds capacity " +
-                        std::to_string( capacity() ) +
-                        " and dynamic resizing is disabled" );
-                }
-                /** post the overflow demand; the monitor thread grows us
-                 *  and its resize() wakes this end **/
-                const auto want = detail::pow2_ceil( n );
-                if( resize_request_.exchange( want,
-                                              std::memory_order_seq_cst ) !=
-                    want )
-                {
-                    ring_doorbell();
-                }
-                throw_if_aborted_read();
-                note_block( cons_ );
-                block( cons_bit, spins, [ this, n ]() {
-                    return capacity() >= n ||
-                           aborted_.load( std::memory_order_acquire );
-                } );
-                continue;
-            }
-            enter( cons_ );
-            const auto h = head_.load( std::memory_order_relaxed );
-            const auto t = cons_tail( h, n );
-            if( static_cast<std::size_t>( t - h ) >= n )
-            {
-                *data  = data_;
-                *start = h;
-                *mask  = mask_.load( std::memory_order_relaxed );
-                clear_read_block();
-                /** claim held — released by the window's destructor **/
-                return;
-            }
-            leave( cons_ );
-            throw_if_aborted_read();
-            if( write_closed() &&
-                static_cast<std::size_t>(
-                    tail_.load( std::memory_order_acquire ) -
-                    head_.load( std::memory_order_relaxed ) ) < n )
-            {
-                clear_read_block();
-                throw closed_port_exception(
-                    "peek_range can never be satisfied: upstream closed" );
-            }
-            note_block( cons_ );
-            await_data( spins, n );
-        }
+        claim_read( n, n, true, *start );
+        *data = data_;
+        *mask = mask_.load( std::memory_order_relaxed );
+    }
+
+    /** A one-element read window: the head element and its signal. */
+    T &claim_head( signal &sig )
+    {
+        std::uint64_t h = 0;
+        claim_read( 1, 1, true, h );
+        const auto idx = h & mask_.load( std::memory_order_relaxed );
+        sig            = sigs_[ idx ];
+        return data_[ idx ];
+    }
+
+    void consume_head() noexcept { consume_read_window( 1 ); }
+
+    void release_head() noexcept { consume_read_window( 0 ); }
+
+    /** A one-slot write window: a default-constructed tail element. */
+    T *claim_tail()
+    {
+        T *data       = nullptr;
+        signal *sigs  = nullptr;
+        std::uint64_t t = 0;
+        std::size_t m   = 0;
+        claim_write_window( 1, &data, &sigs, &t, &m );
+        return data + ( t & m );
+    }
+
+    void publish_tail( const signal sig ) noexcept
+    {
+        sigs_[ tail_.load( std::memory_order_relaxed ) &
+               mask_.load( std::memory_order_relaxed ) ] = sig;
+        publish_write_window( 1, 1 );
+    }
+
+    void abandon_tail() noexcept { publish_write_window( 1, 0 ); }
+    ///@}
+
+    /** @name sugar: the Figure 2 access style */
+    ///@{
+    autorelease<T> pop_s() { return autorelease<T>( *this ); }
+    allocate_ref<T> allocate_s() { return allocate_ref<T>( *this ); }
+    peek_range_t<T> peek_range( const std::size_t n )
+    {
+        return peek_range_t<T>( *this, n );
+    }
+    /** Bulk dual of allocate_s(): up to n slots, published at scope exit. */
+    write_window_t<T> write_window( const std::size_t n )
+    {
+        return write_window_t<T>( *this, n );
+    }
+    /** Bulk dual of pop_s(): up to n elements, consumed at scope exit. */
+    read_window_t<T> read_window( const std::size_t n )
+    {
+        return read_window_t<T>( *this, n );
     }
     ///@}
 
@@ -1051,94 +711,257 @@ private:
             sizeof( T ) * cap, std::align_val_t( alignof( T ) ) ) );
     }
 
-    template <class Construct>
-    void emplace_blocking( Construct &&construct, const signal sig )
+    /** @name the claim/commit pair of each end (see file header)
+     * Every operation above is a claim, element work on the claimed slots
+     * and a commit. A claim takes its end's handshake; the commit that
+     * follows releases it. The claims, produce and consume are forced
+     * inline: left out of line by the compiler, they cost perfbench's
+     * chain_scalar about 20% of its items/s on a 4-vCPU Xeon VM. */
+    ///@{
+    /** Producer claim: return k in [1, max_n] free slots starting at `t`
+     *  (tail_), with the producer's handshake held. Without `wait`, a
+     *  full ring returns 0 with the handshake released. Throws
+     *  closed_port_exception once the reader has closed and, while
+     *  waiting, stream_aborted_exception once the stream is aborted. */
+    [[gnu::always_inline]] std::size_t claim_write( std::size_t max_n,
+                                                    const bool wait,
+                                                    std::uint64_t &t )
     {
+        max_n     = std::max<std::size_t>( max_n, 1 );
         int spins = 0;
         for( ;; )
         {
             if( read_closed() )
             {
-                throw closed_port_exception(
-                    "push on a stream whose reader terminated" );
+                throw_closed( "push on a stream whose reader terminated" );
             }
             enter( prod_ );
-            const auto t   = tail_.load( std::memory_order_relaxed );
+            t              = tail_.load( std::memory_order_relaxed );
             const auto cap = capacity_.load( std::memory_order_relaxed );
-            const auto h   = prod_head( t, cap );
-            if( static_cast<std::size_t>( t - h ) < cap )
+            /** reload the shadow cache when it cannot cover the request,
+             *  so claims come back full-sized rather than cache-lag-sized **/
+            const auto h     = prod_head( t, cap, std::min( max_n, cap ) );
+            const auto space = cap - static_cast<std::size_t>( t - h );
+            if( space > 0 )
             {
-                const auto m = mask_.load( std::memory_order_relaxed );
-                construct( static_cast<void *>( data_ + ( t & m ) ) );
-                sigs_[ t & m ] = sig;
-                tail_.store( t + 1, std::memory_order_release );
-                notify( cons_bit );
-                leave( prod_ );
-                clear_write_block();
-                return;
+                if( spins > 0 )
+                {
+                    clear_block( prod_ ); /** the claim waited **/
+                }
+                return std::min( max_n, space );
             }
             leave( prod_ );
-            throw_if_aborted_write();
-            note_block( prod_ );
+            if( !wait )
+            {
+                return 0;
+            }
             await_space( spins );
         }
     }
 
-    void throw_if_drained()
+    /** Producer commit: publish the first n slots claimed at t (built by
+     *  the caller) with one index store and one notify, then release the
+     *  handshake. n = 0 releases only. It takes the claim's t instead of
+     *  reloading tail_: on a 4-vCPU Xeon VM, a reload right before the
+     *  store cost perfbench's chain_scalar about 6% of its items/s. */
+    void commit_write( const std::uint64_t t, const std::size_t n ) noexcept
     {
-        if( write_closed() )
+        if( n > 0 )
         {
-            const auto t = tail_.load( std::memory_order_acquire );
-            const auto h = head_.load( std::memory_order_relaxed );
-            if( t == h )
+            tail_.store( t + n, std::memory_order_release );
+            notify( cons_bit );
+        }
+        leave( prod_ );
+    }
+
+    /** Consumer claim: return k in [min_n, max_n] readable elements
+     *  starting at `h` (head_), with the consumer's handshake held.
+     *  Without `wait`, fewer than min_n returns 0 with the handshake
+     *  released. A min_n above capacity posts a resize request and parks
+     *  (only peek_range asks that). Throws closed_port_exception once the
+     *  writer has closed with fewer than min_n left, and, while waiting,
+     *  stream_aborted_exception once the stream is aborted (checked
+     *  first, so a cancelled graph never looks drained). */
+    [[gnu::always_inline]] std::size_t claim_read( const std::size_t min_n,
+                                                   std::size_t max_n,
+                                                   const bool wait,
+                                                   std::uint64_t &h )
+    {
+        max_n     = std::max( max_n, min_n );
+        int spins = 0;
+        for( ;; )
+        {
+            enter( cons_ );
+            h                = head_.load( std::memory_order_relaxed );
+            const auto avail = static_cast<std::size_t>(
+                cons_tail( h, max_n ) - h );
+            if( avail >= min_n )
             {
-                clear_read_block();
-                throw closed_port_exception( "stream drained and closed" );
+                if( spins > 0 )
+                {
+                    clear_block( cons_ ); /** the claim waited **/
+                }
+                return std::min( max_n, avail );
+            }
+            leave( cons_ );
+            if( !wait )
+            {
+                return 0;
+            }
+            await_data( spins, min_n );
+        }
+    }
+
+    /** Consumer commit: destroy the first n elements claimed at h, advance
+     *  head_ with one index store and one notify, then release the
+     *  handshake. n = 0 releases only (unpeek, peek_range). */
+    void commit_read( const std::uint64_t h, const std::size_t n ) noexcept
+    {
+        if( n > 0 )
+        {
+            destroy( h, n );
+            head_.store( h + n, std::memory_order_release );
+            notify( prod_bit );
+        }
+        leave( cons_ );
+    }
+
+    /** Commits n slots of one end when it leaves scope. The caller counts
+     *  n up as each element is built or taken, so an element constructor
+     *  or assignment that throws commits the completed prefix and
+     *  releases the handshake on its way out. */
+    template <bool Producer> struct commit_guard
+    {
+        ring_buffer &rb;
+        std::uint64_t start;
+        std::size_t n{ 0 };
+
+        ~commit_guard()
+        {
+            if constexpr( Producer )
+            {
+                rb.commit_write( start, n );
+            }
+            else
+            {
+                rb.commit_read( start, n );
             }
         }
-    }
+    };
 
-    /** @name abort checks — blocked paths only
-     * Cancellation poisons the stream via abort(), which wakes a parked
-     * end; the end notices on its next retry. The checks live
-     * exclusively on the would-block path: an
-     * operation that succeeds immediately never loads the flag, keeping the
-     * disabled-path hot loop identical to the pre-fault-tolerance code.
-     */
-    ///@{
-    void throw_if_aborted_read()
+    /** Claim up to max_n slots, build each in order with
+     *  build( slot, signal &, i ), commit. Returns the count. */
+    template <class Build>
+    [[gnu::always_inline]] std::size_t
+    produce( const std::size_t max_n, const bool wait, Build &&build )
     {
-        if( aborted_.load( std::memory_order_acquire ) )
+        std::uint64_t t = 0;
+        const auto k    = claim_write( max_n, wait, t );
+        if( k == 0 )
         {
-            clear_read_block();
-            throw stream_aborted_exception(
-                "stream aborted: graph cancelled" );
+            return 0;
         }
+        commit_guard<true> built{ *this, t };
+        const auto m = mask_.load( std::memory_order_relaxed );
+        for( ; built.n < k; ++built.n )
+        {
+            const auto idx = ( t + built.n ) & m;
+            build( static_cast<void *>( data_ + idx ), sigs_[ idx ],
+                   built.n );
+        }
+        return k;
     }
 
-    void throw_if_aborted_write()
+    /** Claim between 1 and max_n elements, hand each in order to
+     *  take( element &, const signal &, i ), commit. Returns the count. A
+     *  failed take leaves its element queued. The signal goes by reference
+     *  so that a take that ignores it never loads the producer's line of
+     *  the signal array. */
+    template <class Take>
+    [[gnu::always_inline]] std::size_t
+    consume( const std::size_t max_n, const bool wait, Take &&take )
     {
-        if( aborted_.load( std::memory_order_acquire ) )
+        std::uint64_t h = 0;
+        const auto k    = claim_read( 1, max_n, wait, h );
+        if( k == 0 )
         {
-            clear_write_block();
-            throw stream_aborted_exception(
-                "stream aborted: graph cancelled" );
+            return 0;
+        }
+        commit_guard<false> taken{ *this, h };
+        const auto m = mask_.load( std::memory_order_relaxed );
+        for( ; taken.n < k; ++taken.n )
+        {
+            const auto idx = ( h + taken.n ) & m;
+            take( data_[ idx ], sigs_[ idx ], taken.n );
+        }
+        return k;
+    }
+
+    /** build: move-construct from src[i], signal sigs[i] (or none) */
+    static auto moving_from( T *src, const signal *sigs ) noexcept
+    {
+        return [ src, sigs ]( void *slot, signal &s, const std::size_t i ) {
+            ::new( slot ) T( std::move( src[ i ] ) );
+            s = ( sigs != nullptr ) ? sigs[ i ] : none;
+        };
+    }
+
+    /** take: move-assign into dst[i], signal into sigs[i] (if non-null) */
+    static auto moving_to( T *dst, signal *sigs ) noexcept
+    {
+        return [ dst, sigs ]( T &v, const signal &s, const std::size_t i ) {
+            dst[ i ] = std::move( v );
+            if( sigs != nullptr )
+            {
+                sigs[ i ] = s;
+            }
+        };
+    }
+
+    /** destroy the n elements from logical index `from` */
+    void destroy( const std::uint64_t from, const std::size_t n ) noexcept
+    {
+        const auto m = mask_.load( std::memory_order_relaxed );
+        for( std::size_t i = 0; i < n; ++i )
+        {
+            data_[ ( from + i ) & m ].~T();
         }
     }
     ///@}
 
+    /** abort checks live exclusively on the would-block path (the
+     *  await_ functions below): cancellation poisons the stream via
+     *  abort(), which wakes a parked end, and the end notices on its next
+     *  retry. An operation that succeeds immediately never loads the flag,
+     *  keeping the hot path identical to the pre-fault-tolerance code. */
+    void throw_if_aborted( end_state &e )
+    {
+        if( aborted_.load( std::memory_order_acquire ) )
+        {
+            clear_block( e );
+            throw stream_aborted_exception(
+                "stream aborted: graph cancelled" );
+        }
+    }
+
+    /** out of line, like the await_ functions: it keeps the claims small */
+    [[noreturn, gnu::noinline]] static void throw_closed( const char *what )
+    {
+        throw closed_port_exception( what );
+    }
+
     /** @name shadow-index refresh (see file header)
      * Thread-private caches of the opposite end's counter. Values only lag
      * the real counter, so acting on them is conservative; re-read the real
-     * (remote) cache line only when the cached value implies no progress is
-     * possible — i.e. once per batch/wrap instead of once per element.
+     * (remote) cache line only when the cached value cannot cover the
+     * request — i.e. once per batch/wrap instead of once per element.
      */
     ///@{
     /** Producer view of head_; refreshed when the cache shows fewer than
      *  `need` free slots. Call only between enter( prod_ ) and
      *  leave( prod_ ). */
     std::uint64_t prod_head( const std::uint64_t t, const std::size_t cap,
-                             const std::size_t need = 1 ) noexcept
+                             const std::size_t need ) noexcept
     {
         auto h = prod_.cached;
         if( static_cast<std::size_t>( t - h ) + need > cap )
@@ -1153,7 +976,7 @@ private:
      *  `need` occupied slots. Call only between enter( cons_ ) and
      *  leave( cons_ ). */
     std::uint64_t cons_tail( const std::uint64_t h,
-                             const std::size_t need = 1 ) noexcept
+                             const std::size_t need ) noexcept
     {
         auto t = cons_.cached;
         if( static_cast<std::size_t>( t - h ) < need )
@@ -1250,8 +1073,7 @@ private:
         }
     }
 
-    static void clear_block( end_state &e,
-                             const std::uint32_t trace_name ) noexcept
+    void clear_block( end_state &e ) noexcept
     {
         const auto since = e.blocked_since.load( std::memory_order_relaxed );
         if( since != 0 )
@@ -1259,20 +1081,12 @@ private:
             e.blocked_since.store( 0, std::memory_order_relaxed );
             if( telemetry::tracing() )
             {
-                telemetry::span( trace_name, telemetry::cat::stream, since,
+                telemetry::span( &e == &prod_ ? telemetry_push_block()
+                                              : telemetry_pop_block(),
+                                 telemetry::cat::stream, since,
                                  detail::now_ns() );
             }
         }
-    }
-
-    void clear_write_block() noexcept
-    {
-        clear_block( prod_, this->telemetry_push_block() );
-    }
-
-    void clear_read_block() noexcept
-    {
-        clear_block( cons_, this->telemetry_pop_block() );
     }
     ///@}
 
@@ -1354,29 +1168,75 @@ private:
         seq.wait( s, std::memory_order_acquire );
     }
 
-    /** Consumer: park until `need` elements are published, or the stream
-     *  is closed or aborted. */
-    void await_data( int &spins, const std::size_t need = 1 ) noexcept
-    {
-        block( cons_bit, spins, [ this, need ]() {
-            return static_cast<std::size_t>(
-                       tail_.load( std::memory_order_acquire ) -
-                       head_.load( std::memory_order_relaxed ) ) >= need ||
-                   write_closed_.load( std::memory_order_acquire ) ||
-                   aborted_.load( std::memory_order_acquire );
-        } );
-    }
+    ///@}
 
-    /** Producer: park until a slot is free, or the stream is closed for
+    /** @name one blocked retry of a claim
+     * Throw if the stream is aborted (checked before drained, so a
+     * cancelled graph never looks drained) or can never satisfy the
+     * claim, stamp the stall, then spin or park. Out of line: they keep
+     * the claims that call them small enough to inline. */
+    ///@{
+    /** Producer: wait until a slot is free, or the stream is closed for
      *  reading or aborted. */
-    void await_space( int &spins ) noexcept
+    [[gnu::noinline]] void await_space( int &spins )
     {
+        throw_if_aborted( prod_ );
+        note_block( prod_ );
         block( prod_bit, spins, [ this ]() {
             return static_cast<std::size_t>(
                        tail_.load( std::memory_order_relaxed ) -
                        head_.load( std::memory_order_acquire ) ) <
                        capacity_.load( std::memory_order_relaxed ) ||
                    read_closed_.load( std::memory_order_acquire ) ||
+                   aborted_.load( std::memory_order_acquire );
+        } );
+    }
+
+    /** Consumer: wait until `need` elements are published, or the stream
+     *  is closed or aborted. A need above capacity posts the overflow
+     *  demand instead and waits until the monitor's resize() grows the
+     *  ring (and wakes this end). */
+    [[gnu::noinline]] void await_data( int &spins, const std::size_t need )
+    {
+        if( need > capacity() )
+        {
+            if( !auto_resize() )
+            {
+                throw demand_exceeds_capacity_exception(
+                    "peek_range(" + std::to_string( need ) +
+                    ") exceeds capacity " + std::to_string( capacity() ) +
+                    " and dynamic resizing is disabled" );
+            }
+            const auto want = detail::pow2_ceil( need );
+            if( resize_request_.exchange( want,
+                                          std::memory_order_seq_cst ) !=
+                want )
+            {
+                ring_doorbell();
+            }
+            throw_if_aborted( cons_ );
+            note_block( cons_ );
+            block( cons_bit, spins, [ this, need ]() {
+                return capacity() >= need ||
+                       aborted_.load( std::memory_order_acquire );
+            } );
+            return;
+        }
+        throw_if_aborted( cons_ );
+        if( write_closed() &&
+            static_cast<std::size_t>(
+                tail_.load( std::memory_order_acquire ) -
+                head_.load( std::memory_order_relaxed ) ) < need )
+        {
+            clear_block( cons_ );
+            throw_closed( "stream drained and closed" );
+        }
+        note_block( cons_ );
+        block( cons_bit, spins, [ this, need ]() {
+            return static_cast<std::size_t>(
+                       tail_.load( std::memory_order_acquire ) -
+                       head_.load( std::memory_order_relaxed ) ) >= need ||
+                   write_closed_.load( std::memory_order_acquire ) ||
                    aborted_.load( std::memory_order_acquire );
         } );
     }

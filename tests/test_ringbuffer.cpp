@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -402,6 +403,108 @@ TEST( ringbuffer, blocked_writer_timestamp_set_and_cleared )
     writer.join();
     EXPECT_EQ( q.write_blocked_since(), 0 ); /** cleared on success **/
     EXPECT_EQ( q.size(), 2u );
+}
+
+namespace {
+
+/** An element whose copy construction, move construction or move
+ *  assignment throws on demand. The budgets count the operations left
+ *  before one throws; a negative budget never throws. */
+struct flaky
+{
+    static inline bool fail_copy   = false;
+    static inline int move_budget   = -1;
+    static inline int assign_budget = -1;
+
+    int v{ 0 };
+
+    static void spend( int &budget, const char *what )
+    {
+        if( budget == 0 )
+        {
+            throw std::runtime_error( what );
+        }
+        if( budget > 0 )
+        {
+            --budget;
+        }
+    }
+
+    flaky() = default;
+    explicit flaky( const int x ) : v( x ) {}
+    flaky( const flaky &o ) : v( o.v )
+    {
+        if( fail_copy )
+        {
+            throw std::runtime_error( "copy" );
+        }
+    }
+    flaky( flaky &&o ) : v( o.v ) { spend( move_budget, "move" ); }
+    flaky &operator=( const flaky & ) = default;
+    flaky &operator=( flaky &&o )
+    {
+        spend( assign_budget, "move-assign" );
+        v = o.v;
+        return *this;
+    }
+};
+
+} /** end anonymous namespace **/
+
+/** A throwing element constructor or assignment must release the end's
+ *  handshake (else resize() can never park that end again) and commit
+ *  exactly the elements it completed. */
+TEST( ringbuffer, throwing_element_releases_claim )
+{
+    ring_buffer<flaky> q( 8 );
+    q.set_auto_resize( true );
+    q.push( flaky( 1 ) );
+
+    /** scalar push: the copy throws, nothing is published **/
+    const flaky two( 2 );
+    flaky::fail_copy = true;
+    EXPECT_THROW( q.push( two ), std::runtime_error );
+    flaky::fail_copy = false;
+    EXPECT_TRUE( q.resize( 16 ) );
+    ASSERT_EQ( q.size(), 1u );
+    EXPECT_EQ( q.total_pushed(), 1u );
+    q.push( two );
+
+    /** scalar pop: the move-assign throws, the element stays queued **/
+    flaky out;
+    flaky::assign_budget = 0;
+    EXPECT_THROW( q.pop( out ), std::runtime_error );
+    flaky::assign_budget = -1;
+    EXPECT_TRUE( q.resize( 32 ) );
+    ASSERT_EQ( q.size(), 2u );
+    EXPECT_EQ( q.total_popped(), 0u );
+
+    /** bulk push: the third move throws, the two built are published **/
+    flaky src[ 4 ] = { flaky( 3 ), flaky( 4 ), flaky( 5 ), flaky( 6 ) };
+    flaky::move_budget = 2;
+    EXPECT_THROW( q.try_push_n( src, 4 ), std::runtime_error );
+    flaky::move_budget = -1;
+    EXPECT_TRUE( q.resize( 64 ) );
+    ASSERT_EQ( q.size(), 4u );
+    EXPECT_EQ( q.total_pushed(), 4u );
+
+    /** bulk pop: the second move-assign throws, the first is consumed **/
+    flaky dst[ 3 ];
+    flaky::assign_budget = 1;
+    EXPECT_THROW( q.try_pop_n( dst, 3 ), std::runtime_error );
+    flaky::assign_budget = -1;
+    EXPECT_EQ( dst[ 0 ].v, 1 );
+    EXPECT_TRUE( q.resize( 8 ) );
+    ASSERT_EQ( q.size(), 3u );
+    EXPECT_EQ( q.total_popped(), 1u );
+
+    /** FIFO order holds over what was committed **/
+    for( const int want : { 2, 3, 4 } )
+    {
+        q.pop( out );
+        EXPECT_EQ( out.v, want );
+    }
+    ASSERT_EQ( q.size(), 0u );
 }
 
 /** parameterized geometry sweep: push/pop integrity across capacities **/
