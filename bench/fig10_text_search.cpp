@@ -8,12 +8,13 @@
  *
  * Two parts (DESIGN.md §3 substitution):
  *  1. REAL execution on this host: every framework runs its actual code
- *     over the synthetic corpus at core counts up to the hardware; every
- *     count is validated against the naive oracle.
+ *     over the synthetic corpus at every core count from 1 to the
+ *     hardware's, printed beside the model's point for the same count;
+ *     every count is validated against the naive oracle.
  *  2. SIMULATED 1..16-core series from the calibrated queueing-network
- *     models (sim/scaling.hpp) — live-measured service rates, memory
- *     bandwidth, spawn and pipe costs plugged into each framework's
- *     execution structure.
+ *     models (sim/scaling.hpp) — live-measured service rates, the memory
+ *     wall of k concurrent scans, spawn and pipe costs plugged into each
+ *     framework's execution structure.
  *
  * Environment knobs: RAFT_FIG10_MB (corpus MiB, default 24),
  * RAFT_FIG10_FILE_GB (simulated file size, default 8).
@@ -110,26 +111,59 @@ int main()
                  corpus_mb, pattern.c_str(),
                  static_cast<unsigned long long>( oracle ) );
 
-    /* ---- part 1: real execution on this host ---- */
+    /* ---- calibration: the constants every model point below uses ---- */
+    std::printf( "[calibrating live constants...]\n" );
+    const auto cal = raft::sim::calibrate( *corpus, pattern );
+    std::printf( "  memchr(grep-like) %.2f GB/s | AC %.2f | BMH %.2f | "
+                 "BM %.2f\n",
+                 cal.memchr_bps / 1e9, cal.ac_bps / 1e9,
+                 cal.bmh_bps / 1e9, cal.bm_bps / 1e9 );
+    std::printf( "  mem wall of k concurrent scans, k = 1..%zu (GB/s):",
+                 cal.mem_bw_k.size() );
+    for( const auto bw : cal.mem_bw_k )
+    {
+        std::printf( " %.2f", bw / 1e9 );
+    }
+    std::printf( "\n  pipe %.2f GB/s | spawn %.1f us(thread) %.1f "
+                 "us(process)\n\n",
+                 cal.pipe_bw_bps / 1e9, cal.thread_spawn_s * 1e6,
+                 cal.process_spawn_s * 1e6 );
+
+    /* ---- part 1: real execution on this host, beside the model ---- */
     const auto hw = std::max( 1u, std::thread::hardware_concurrency() );
-    std::printf( "[real execution on this host, %u core(s)]\n", hw );
-    std::printf( "%-22s %-7s %-9s %-8s\n", "system", "cores", "GB/s",
-                 "correct" );
-    for( unsigned n = 1; n <= hw; n *= 2 )
+    const auto fbytes    = file_gb * 1e9;
+    const auto max_cores = std::max( 16u, hw );
+    const auto pg = raft::sim::model_pgrep( cal, fbytes, max_cores );
+    const auto sp = raft::sim::model_spark( cal, fbytes, max_cores );
+    const auto ac =
+        raft::sim::model_raft( cal, cal.ac_bps, fbytes, max_cores );
+    const auto bmh =
+        raft::sim::model_raft( cal, cal.bmh_bps, fbytes, max_cores );
+    std::printf( "[real execution on this host, %u core(s); model = the "
+                 "simulated point at the same core count]\n",
+                 hw );
+    std::printf( "%-22s %-7s %-9s %-9s %-8s\n", "system", "cores",
+                 "GB/s", "model", "correct" );
+    const auto row = [ & ]( const char *name, const unsigned n,
+                            const double s, const std::uint64_t c,
+                            const std::vector<raft::sim::scaling_point>
+                                &model ) {
+        std::printf( "%-22s %-7u %-9.3f %-9.3f %-8s\n", name, n, gb / s,
+                     model[ n - 1 ].gbps, c == oracle ? "yes" : "NO" );
+    };
+    for( unsigned n = 1; n <= hw; ++n )
     {
         {
             timer t;
             const auto c = raft_run<raft::ahocorasick>( corpus, pattern,
                                                         n );
-            std::printf( "%-22s %-7u %-9.3f %-8s\n", "raftlib-AC", n,
-                         gb / t.s(), c == oracle ? "yes" : "NO" );
+            row( "raftlib-AC", n, t.s(), c, ac );
         }
         {
             timer t;
             const auto c = raft_run<raft::boyermoorehorspool>(
                 corpus, pattern, n );
-            std::printf( "%-22s %-7u %-9.3f %-8s\n", "raftlib-BMH", n,
-                         gb / t.s(), c == oracle ? "yes" : "NO" );
+            row( "raftlib-BMH", n, t.s(), c, bmh );
         }
         {
             raft::baselines::pgrep_options o;
@@ -137,8 +171,7 @@ int main()
             timer t;
             const auto c =
                 raft::baselines::pgrep_count( *corpus, pattern, o );
-            std::printf( "%-22s %-7u %-9.3f %-8s\n", "pgrep(parallel)",
-                         n, gb / t.s(), c == oracle ? "yes" : "NO" );
+            row( "pgrep(parallel)", n, t.s(), c, pg );
         }
         {
             raft::baselines::minispark_context ctx( n );
@@ -147,26 +180,12 @@ int main()
             timer t;
             const auto c = raft::baselines::spark_search( ctx, *corpus,
                                                           pattern, o );
-            std::printf( "%-22s %-7u %-9.3f %-8s\n", "minispark-BM", n,
-                         gb / t.s(), c == oracle ? "yes" : "NO" );
+            row( "minispark-BM", n, t.s(), c, sp );
         }
     }
 
     /* ---- part 2: calibrated 1..16-core simulation ---- */
-    std::printf( "\n[calibrating live constants...]\n" );
-    const auto cal = raft::sim::calibrate( *corpus, pattern );
-    std::printf( "  memchr(grep-like) %.2f GB/s | AC %.2f | BMH %.2f | "
-                 "BM %.2f\n",
-                 cal.memchr_bps / 1e9, cal.ac_bps / 1e9,
-                 cal.bmh_bps / 1e9, cal.bm_bps / 1e9 );
-    std::printf( "  mem bw %.2f GB/s | pipe %.2f GB/s | spawn "
-                 "%.1f us(thread) %.1f us(process)\n\n",
-                 cal.mem_bw_bps / 1e9, cal.pipe_bw_bps / 1e9,
-                 cal.thread_spawn_s * 1e6, cal.process_spawn_s * 1e6 );
-
-    const auto fbytes = file_gb * 1e9;
-    constexpr unsigned max_cores = 16;
-    std::printf( "[simulated %u-core machine, %.1f GB file] "
+    std::printf( "\n[simulated %u-core machine, %.1f GB file] "
                  "columns = cores 1..%u\n",
                  max_cores, file_gb, max_cores );
     std::printf( "%-22s", "cores" );
@@ -175,12 +194,6 @@ int main()
         std::printf( " %6u", i );
     }
     std::printf( "\n" );
-    const auto pg = raft::sim::model_pgrep( cal, fbytes, max_cores );
-    const auto sp = raft::sim::model_spark( cal, fbytes, max_cores );
-    const auto ac =
-        raft::sim::model_raft( cal, cal.ac_bps, fbytes, max_cores );
-    const auto bmh =
-        raft::sim::model_raft( cal, cal.bmh_bps, fbytes, max_cores );
     print_series( "gnu-parallel-grep", pg );
     print_series( "spark-BM", sp );
     print_series( "raftlib-AC", ac );
