@@ -152,17 +152,22 @@ private:
  * serially, as is every window when max_pattern_len() - 1 exceeds a slice
  * (lane 1's warm-up would start before its block).
  *
- * Two lanes keep single-core AC below the skip-based single-pattern
- * matchers and below 1/5.5 of one core's streaming bandwidth, past which
- * the calibrated Fig. 10 model no longer scales AC near-linearly to eight
- * cores: the paper's §5 premise. Three to eight lanes scan faster but
- * cross that line on some calibration runs.
+ * Three lanes is as wide as the paper's §5 premise allows: on one core AC
+ * trails BMH, BM and memchr, and an adaptive search group commits to BMH
+ * (calibration.rates_positive_and_ordered,
+ * scaling.plain_grep_wins_single_core,
+ * scaling.raft_bmh_dominates_raft_ac_everywhere and
+ * synonym.search_group_finds_every_match test it). Wider scans are faster
+ * but give that up: four lanes bring AC level with BM (984–1,110 against
+ * 1,028–1,089 MiB/s in micro_algo_search; 1.76–1.82 against 1.54–1.63 GB/s
+ * in the Fig. 10 calibration, on a 4-vCPU Xeon VM), and five lanes
+ * calibrated AC above memchr in 1 of 20 runs.
  */
 class aho_corasick_matcher final : public matcher
 {
 public:
     /** Lock-step walks per block. */
-    static constexpr std::size_t lanes = 2;
+    static constexpr std::size_t lanes = 3;
     /** Bytes per lane slice. */
     static constexpr std::size_t slice = 1024;
 
@@ -215,10 +220,10 @@ private:
     std::size_t max_len_{ 0 };
     /** bytes per lock-step block; no window reaches it when a lane's
      *  warm-up (max_len_ - 1 bytes) exceeds a slice, so such sets walk
-     *  serially. With two lanes the lock-step pass costs about slice +
-     *  warm-up dependent steps against 2 × slice for the serial walk, so it
-     *  is not slower anywhere it is exact (measured at a 1,025-byte
-     *  pattern: 333–378 MiB/s against 305–326 serial) */
+     *  serially. The lock-step pass costs about slice + warm-up dependent
+     *  steps against lanes × slice for the serial walk, so it is not slower
+     *  anywhere it is exact (measured with three lanes at a 1,025-byte
+     *  pattern: 573–624 MiB/s against 362–367 serial at 1,026 bytes) */
     std::size_t block_{ std::numeric_limits<std::size_t>::max() };
     std::size_t node_count_{ 0 };
     /** dense transition table, premultiplied: next_[s + byte] is the next

@@ -733,7 +733,7 @@ private:
         {
             if( read_closed() )
             {
-                throw_closed( "push on a stream whose reader terminated" );
+                throw_read_closed();
             }
             enter( prod_ );
             t              = tail_.load( std::memory_order_relaxed );
@@ -948,6 +948,14 @@ private:
     [[noreturn, gnu::noinline]] static void throw_closed( const char *what )
     {
         throw closed_port_exception( what );
+    }
+
+    /** the producer's: a writer the close woke must not look stalled to
+     *  the monitor's 3δ rule */
+    [[noreturn, gnu::noinline]] void throw_read_closed()
+    {
+        clear_block( prod_ );
+        throw_closed( "push on a stream whose reader terminated" );
     }
 
     /** @name shadow-index refresh (see file header)

@@ -1,8 +1,9 @@
 /**
  * Blocking ends that park (ring_buffer, "Blocking: spin, then park"): a
  * bursty SPSC stress whose idle gaps outlast the spin phase, the forced
- * wake-ups (abort, close_write, close_read) of a parked end, and a parked
- * writer that an idle monitor grows its ring for.
+ * wake-ups (abort, close_write, close_read) of a parked end, a woken
+ * writer's cleared stall stamp, and a parked writer that an idle monitor
+ * grows its ring for.
  */
 #include <gtest/gtest.h>
 
@@ -194,6 +195,30 @@ TEST( ringbuffer_park, close_read_wakes_parked_push )
     const auto t0 = std::chrono::steady_clock::now();
     q.close_read();
     EXPECT_TRUE( woke_within( writer, t0, [ & ]() { q.abort(); } ) );
+}
+
+TEST( ringbuffer_park, close_read_clears_writer_stall_stamp )
+{
+    /** a writer that parked and was then woken by close_read() throws;
+     *  its stall stamp must go with it, or the monitor keeps ticking at δ
+     *  cadence for a stream nobody writes to any more **/
+    raft::run_options opts;
+    opts.dynamic_resize = true;
+    raft::monitor mon( opts );
+    ring_buffer<int> q( 2 );
+    mon.register_stream( &q, raft::monitor::stream_info{
+                                 "a", "b", "0", "0", "int" } );
+    q.push( 1 );
+    q.push( 2 );
+    auto writer = std::async( std::launch::async, [ & ]() {
+        EXPECT_THROW( q.push( 3 ), raft::closed_port_exception );
+    } );
+    until_parked( [ & ]() { return q.write_blocked_since(); } );
+    const auto t0 = std::chrono::steady_clock::now();
+    q.close_read();
+    ASSERT_TRUE( woke_within( writer, t0, [ & ]() { q.abort(); } ) );
+    EXPECT_EQ( q.write_blocked_since(), 0 );
+    EXPECT_FALSE( mon.tick() );
 }
 
 TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
