@@ -53,8 +53,10 @@
  * power-of-two capacities up to max_cap, no signals/telemetry/timeout (the
  * model monitor parks on a retry_guard instead of a bounded spin — the
  * checker's deadlock detector replaces the timeout), no spin phase before
- * an end parks (spinning only re-runs the attempt), and the close_read
- * wake-up is left out (the model producer never sees a closed reader).
+ * an end parks (spinning only re-runs the attempt: one that finds less
+ * than the batch a spinning end wants fails as one that finds nothing
+ * does, a path the model has), and the close_read wake-up is left out
+ * (the model producer never sees a closed reader).
  *
  * Four knobs re-introduce real bugs for the checker to catch:
  *

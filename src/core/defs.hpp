@@ -46,7 +46,7 @@ inline void cpu_relax() noexcept
  * an idle poller cheap when threads outnumber cores; it also bounds how
  * late the poller notices new work. Stream rings and the pool's idle
  * workers do not use it: they spin, then park until a peer wakes them
- * (ring_buffer, "Blocking: spin, then park"; pool_scheduler::execute).
+ * (ring_buffer, "Blocking"; pool_scheduler::execute).
  */
 class backoff
 {

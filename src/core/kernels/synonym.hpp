@@ -17,11 +17,15 @@
  * alternatives and binds every alternative's ports to the same streams;
  * only the active alternative executes. An explore-then-commit policy
  * probes each alternative for a window of invocations, commits to the
- * fastest, and periodically re-probes so phase changes in the input
- * (§3's dynamic rates) can flip the choice.
+ * one with the lowest median invocation time, and periodically re-probes
+ * so phase changes in the input (§3's dynamic rates) can flip the
+ * choice. The median, not the mean: invocations are timed on the wall
+ * clock, and one preempted invocation can outweigh the whole gap between
+ * two alternatives in a mean, but not in a median.
  */
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -67,8 +71,8 @@ public:
         {
             verify_signature( *alts_[ i ] );
         }
-        mean_ns_.assign( alts_.size(), 0.0 );
-        probes_.assign( alts_.size(), 0 );
+        median_ns_.assign( alts_.size(), 0.0 );
+        window_ns_.resize( alts_.size() );
         set_name( "raft::synonym[" + alts_[ 0 ]->name() + ",...x" +
                   std::to_string( alts_.size() ) + "]" );
     }
@@ -94,10 +98,11 @@ public:
     {
         return alts_.size();
     }
-    /** EWMA-free probe mean (ns per invocation) for alternative i. */
-    double mean_invocation_ns( const std::size_t i ) const
+    /** Median ns per invocation of alternative i over its last complete
+     *  probe window; 0 before that window completes. */
+    double median_invocation_ns( const std::size_t i ) const
     {
-        return mean_ns_[ i ];
+        return median_ns_[ i ];
     }
     std::size_t swap_count() const noexcept { return swaps_; }
     ///@}
@@ -173,23 +178,26 @@ private:
         bound_ = true;
     }
 
-    /** Explore-then-commit with periodic re-probing. */
+    /** Explore-then-commit with periodic re-probing (see file header). */
     void observe( const double invocation_ns )
     {
         if( probing_ )
         {
-            auto &n = probes_[ active_ ];
-            mean_ns_[ active_ ] =
-                ( mean_ns_[ active_ ] * static_cast<double>( n ) +
-                  invocation_ns ) /
-                static_cast<double>( n + 1 );
-            if( ++n >= policy_.probe_window )
+            auto &window = window_ns_[ active_ ];
+            window.push_back( invocation_ns );
+            if( window.size() >= policy_.probe_window )
             {
+                /** the middle sample, the lower one of an even window **/
+                const auto mid = window.begin() +
+                                 static_cast<std::ptrdiff_t>(
+                                     ( window.size() - 1 ) / 2 );
+                std::nth_element( window.begin(), mid, window.end() );
+                median_ns_[ active_ ] = *mid;
                 /** advance to the next unprobed alternative **/
                 std::size_t next = alts_.size();
                 for( std::size_t i = 0; i < alts_.size(); ++i )
                 {
-                    if( probes_[ i ] < policy_.probe_window )
+                    if( window_ns_[ i ].size() < policy_.probe_window )
                     {
                         next = i;
                         break;
@@ -212,8 +220,11 @@ private:
             /** start a fresh probe round **/
             committed_runs_ = 0;
             probing_        = true;
-            std::fill( probes_.begin(), probes_.end(), std::size_t{ 0 } );
-            std::fill( mean_ns_.begin(), mean_ns_.end(), 0.0 );
+            for( auto &w : window_ns_ )
+            {
+                w.clear();
+            }
+            std::fill( median_ns_.begin(), median_ns_.end(), 0.0 );
             switch_to( 0 );
         }
     }
@@ -224,9 +235,9 @@ private:
         double best_ns   = std::numeric_limits<double>::infinity();
         for( std::size_t i = 0; i < alts_.size(); ++i )
         {
-            if( mean_ns_[ i ] < best_ns )
+            if( median_ns_[ i ] < best_ns )
             {
-                best_ns = mean_ns_[ i ];
+                best_ns = median_ns_[ i ];
                 best    = i;
             }
         }
@@ -249,8 +260,9 @@ private:
     std::size_t active_{ 0 };
     bool probing_{ true };
     bool bound_{ false };
-    std::vector<double> mean_ns_;
-    std::vector<std::size_t> probes_;
+    std::vector<double> median_ns_;
+    /** the current probe round's invocation times, per alternative **/
+    std::vector<std::vector<double>> window_ns_;
     std::size_t committed_runs_{ 0 };
     std::size_t swaps_{ 0 };
 };

@@ -75,12 +75,21 @@
  * x86), and the monitor stores the gate seq_cst. Registration happens once
  * per process; the choice is made at construction, per ring.
  *
- * Blocking: spin, then park. A blocked end retries 64 times with a CPU
- * pause, then parks on its own 32-bit sequence word with
- * std::atomic::wait. Waking it is a second Dekker pair, made asymmetric
- * the same way: the parking side is already slow, so it pays the barrier,
- * and the publishing side, which runs on every operation, pays one
- * relaxed load.
+ * Blocking: spin for a batch, then park. A claim whose first attempt
+ * fails retries out of line. While it spins, a retry wants a batch:
+ * slip = min(cap / 4, 16) free slots (at least 1) for the producer,
+ * max(min_n, slip) elements for the consumer, or min_n once the writer
+ * has closed. So a blocked end lets its peer run a batch ahead, and
+ * head_, tail_ and the data lines change cores once per batch instead of
+ * once per element (FastForward's "temporal slipping", Giacomoni et al.,
+ * PPoPP 2008). The retries come after 1, 1, 2, 4 ... 32 CPU pauses, 64
+ * in all, so a spinning end reads the peer's index 7 times, not 64.
+ * After the 64th pause a retry wants one slot or min_n elements again,
+ * which is what the end then parks for: it parks on its own 32-bit
+ * sequence word with std::atomic::wait. Waking it is a second Dekker
+ * pair, made asymmetric the same way: the parking side is already slow,
+ * so it pays the barrier, and the publishing side, which runs on every
+ * operation, pays one relaxed load.
  *
  *   parker:  s = seq.load(acquire);
  *            waiters.fetch_or(my_bit);
@@ -121,6 +130,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -727,36 +737,43 @@ private:
                                                     const bool wait,
                                                     std::uint64_t &t )
     {
-        max_n     = std::max<std::size_t>( max_n, 1 );
-        int spins = 0;
-        for( ;; )
+        max_n = std::max<std::size_t>( max_n, 1 );
+        if( read_closed() )
         {
-            if( read_closed() )
-            {
-                throw_read_closed();
-            }
-            enter( prod_ );
-            t              = tail_.load( std::memory_order_relaxed );
-            const auto cap = capacity_.load( std::memory_order_relaxed );
-            /** reload the shadow cache when it cannot cover the request,
-             *  so claims come back full-sized rather than cache-lag-sized **/
-            const auto h     = prod_head( t, cap, std::min( max_n, cap ) );
-            const auto space = cap - static_cast<std::size_t>( t - h );
-            if( space > 0 )
-            {
-                if( spins > 0 )
-                {
-                    clear_block( prod_ ); /** the claim waited **/
-                }
-                return std::min( max_n, space );
-            }
-            leave( prod_ );
-            if( !wait )
-            {
-                return 0;
-            }
-            await_space( spins );
+            throw_read_closed();
         }
+        std::size_t k = 0;
+        if( try_claim_write( max_n, false, t, k ) || !wait )
+        {
+            return k;
+        }
+        return claim_write_waiting( max_n, t );
+    }
+
+    /** One producer attempt: with the handshake held, find one free slot,
+     *  or slip(cap) of them when `batch`, and set k = min(max_n, space).
+     *  Without them, release the handshake and return false. */
+    [[gnu::always_inline]] bool try_claim_write( const std::size_t max_n,
+                                                 const bool batch,
+                                                 std::uint64_t &t,
+                                                 std::size_t &k )
+    {
+        enter( prod_ );
+        t              = tail_.load( std::memory_order_relaxed );
+        const auto cap = capacity_.load( std::memory_order_relaxed );
+        const auto want = batch ? slip( cap ) : 1;
+        /** reload the shadow cache when it cannot cover the request,
+         *  so claims come back full-sized rather than cache-lag-sized **/
+        const auto h =
+            prod_head( t, cap, std::min( std::max( max_n, want ), cap ) );
+        const auto space = cap - static_cast<std::size_t>( t - h );
+        if( space >= want )
+        {
+            k = std::min( max_n, space );
+            return true;
+        }
+        leave( prod_ );
+        return false;
     }
 
     /** Producer commit: publish the first n slots claimed at t (built by
@@ -787,29 +804,40 @@ private:
                                                    const bool wait,
                                                    std::uint64_t &h )
     {
-        max_n     = std::max( max_n, min_n );
-        int spins = 0;
-        for( ;; )
+        max_n         = std::max( max_n, min_n );
+        std::size_t k = 0;
+        if( try_claim_read( min_n, max_n, false, h, k ) || !wait )
         {
-            enter( cons_ );
-            h                = head_.load( std::memory_order_relaxed );
-            const auto avail = static_cast<std::size_t>(
-                cons_tail( h, max_n ) - h );
-            if( avail >= min_n )
-            {
-                if( spins > 0 )
-                {
-                    clear_block( cons_ ); /** the claim waited **/
-                }
-                return std::min( max_n, avail );
-            }
-            leave( cons_ );
-            if( !wait )
-            {
-                return 0;
-            }
-            await_data( spins, min_n );
+            return k;
         }
+        return claim_read_waiting( min_n, max_n, h );
+    }
+
+    /** One consumer attempt: with the handshake held, find min_n
+     *  elements, or max(min_n, slip(cap)) when `batch`, and set
+     *  k = min(max_n, occupancy). Without them, release the handshake and
+     *  return false. */
+    [[gnu::always_inline]] bool try_claim_read( const std::size_t min_n,
+                                                const std::size_t max_n,
+                                                const bool batch,
+                                                std::uint64_t &h,
+                                                std::size_t &k )
+    {
+        enter( cons_ );
+        h = head_.load( std::memory_order_relaxed );
+        const auto want =
+            batch ? std::max( min_n, slip( capacity_.load(
+                                         std::memory_order_relaxed ) ) )
+                  : min_n;
+        const auto avail = static_cast<std::size_t>(
+            cons_tail( h, std::max( max_n, want ) ) - h );
+        if( avail >= want )
+        {
+            k = std::min( max_n, avail );
+            return true;
+        }
+        leave( cons_ );
+        return false;
     }
 
     /** Consumer commit: destroy the first n elements claimed at h, advance
@@ -1098,12 +1126,21 @@ private:
     }
     ///@}
 
-    /** @name park/notify (see file header, "Blocking: spin, then park") */
+    /** @name park/notify (see file header, "Blocking") */
     ///@{
     static constexpr std::uint32_t prod_bit = 1;
     static constexpr std::uint32_t cons_bit = 2;
     /** pauses before a blocked end parks **/
     static constexpr int spin_limit = 64;
+
+    /** What a spinning end waits for: this many free slots (producer) or
+     *  elements (consumer), a quarter of the ring but 1 to 16, so that the
+     *  ends drift a batch apart and the indices and data lines change
+     *  cores once per batch rather than once per element. */
+    static constexpr std::size_t slip( const std::size_t cap ) noexcept
+    {
+        return std::clamp<std::size_t>( cap / 4, 1, 16 );
+    }
 
     /** Waker half: call after publishing head_ (peer = prod_bit) or tail_
      *  (peer = cons_bit). */
@@ -1141,17 +1178,23 @@ private:
         }
     }
 
-    /** Parker half, one blocked retry of end `self`: spin while `spins`
-     *  is below spin_limit, then park until a wake-up unless `ready()`
-     *  (can the end proceed?) holds after the barrier. Call outside
-     *  enter()/leave(), so that a parked end never holds up resize(). */
+    /** Parker half, one blocked retry of end `self`: while `spins` is
+     *  below spin_limit, pause as many times as it counts (at least once)
+     *  and add them to it, so the retries come after 1, 1, 2, 4 ... 32
+     *  pauses; then park until a wake-up unless `ready()` (can the end
+     *  proceed?) holds after the barrier. Call outside enter()/leave(),
+     *  so that a parked end never holds up resize(). */
     template <class Ready>
     void block( const std::uint32_t self, int &spins, Ready &&ready )
     {
         if( spins < spin_limit )
         {
-            ++spins;
-            detail::cpu_relax();
+            const int gap = std::max( spins, 1 );
+            for( int i = 0; i < gap; ++i )
+            {
+                detail::cpu_relax();
+            }
+            spins += gap;
             return;
         }
         auto &seq    = self == prod_bit ? prod_seq_ : cons_seq_;
@@ -1178,15 +1221,59 @@ private:
 
     ///@}
 
-    /** @name one blocked retry of a claim
-     * Throw if the stream is aborted (checked before drained, so a
-     * cancelled graph never looks drained) or can never satisfy the
-     * claim, stamp the stall, then spin or park. Out of line: they keep
-     * the claims that call them small enough to inline. */
+    /** @name a blocked claim (see file header, "Blocking")
+     * The claim's first attempt failed. Retry until it succeeds: before
+     * each retry, throw if the stream is aborted (checked before drained,
+     * so a cancelled graph never looks drained) or can never satisfy the
+     * claim, stamp the stall, then spin or park. While spinning, a retry
+     * wants a batch; once the spins are spent it wants what the first
+     * attempt wanted, which is also what a parked end is woken for. Out
+     * of line, with `spins` in a local: the claims that call them stay
+     * small enough to inline. */
     ///@{
+    [[gnu::noinline]] std::size_t
+    claim_write_waiting( const std::size_t max_n, std::uint64_t &t )
+    {
+        int spins = 0;
+        for( ;; )
+        {
+            await_space( spins );
+            if( read_closed() )
+            {
+                throw_read_closed();
+            }
+            std::size_t k = 0;
+            if( try_claim_write( max_n, spins < spin_limit, t, k ) )
+            {
+                clear_block( prod_ );
+                return k;
+            }
+        }
+    }
+
+    /** A closed writer adds nothing more, so the consumer then wants only
+     *  min_n. */
+    [[gnu::noinline]] std::size_t claim_read_waiting( const std::size_t min_n,
+                                                      const std::size_t max_n,
+                                                      std::uint64_t &h )
+    {
+        int spins = 0;
+        for( ;; )
+        {
+            await_data( spins, min_n );
+            std::size_t k    = 0;
+            const bool batch = spins < spin_limit && !write_closed();
+            if( try_claim_read( min_n, max_n, batch, h, k ) )
+            {
+                clear_block( cons_ );
+                return k;
+            }
+        }
+    }
+
     /** Producer: wait until a slot is free, or the stream is closed for
      *  reading or aborted. */
-    [[gnu::noinline]] void await_space( int &spins )
+    void await_space( int &spins )
     {
         throw_if_aborted( prod_ );
         note_block( prod_ );
@@ -1204,7 +1291,7 @@ private:
      *  is closed or aborted. A need above capacity posts the overflow
      *  demand instead and waits until the monitor's resize() grows the
      *  ring (and wakes this end). */
-    [[gnu::noinline]] void await_data( int &spins, const std::size_t need )
+    void await_data( int &spins, const std::size_t need )
     {
         if( need > capacity() )
         {

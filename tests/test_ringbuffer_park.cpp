@@ -1,9 +1,11 @@
 /**
- * Blocking ends that park (ring_buffer, "Blocking: spin, then park"): a
- * bursty SPSC stress whose idle gaps outlast the spin phase, the forced
- * wake-ups (abort, close_write, close_read) of a parked end, a woken
- * writer's cleared stall stamp, and a parked writer that an idle monitor
- * grows its ring for.
+ * Blocking ends that spin for a batch, then park (ring_buffer,
+ * "Blocking: spin for a batch, then park"): a bursty SPSC stress whose
+ * idle gaps outlast the spin phase, the forced wake-ups (abort,
+ * close_write, close_read) of a parked end, a woken writer's cleared
+ * stall stamp, a parked writer that an idle monitor grows its ring for,
+ * and the ends that a batch never comes for: one freed slot, a lone
+ * element, a short batch before the close.
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <future>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include <core/monitor.hpp>
 #include <core/ringbuffer.hpp>
@@ -249,4 +252,123 @@ TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
     EXPECT_TRUE( finished ) << "writer still blocked after 50 ms";
     EXPECT_GE( q.resize_count(), 1u );
     EXPECT_EQ( q.size(), 3u );
+}
+
+TEST( ringbuffer_slip, one_freed_slot_releases_a_blocked_writer )
+{
+    /** the reader frees one slot of a full ring, then waits on a second
+     *  ring that the writer fills only after its push into the first
+     *  returns: a writer that kept waiting for a batch of free slots
+     *  would never get there **/
+    ring_buffer<std::uint64_t> first( 64 );
+    ring_buffer<std::uint64_t> second( 64 );
+    for( std::uint64_t i = 0; i < first.capacity(); ++i )
+    {
+        first.push( i );
+    }
+    std::uint64_t got   = 0;
+    const bool finished = finishes_within( first, 5s, [ & ]() {
+        std::thread writer( [ & ]() {
+            try
+            {
+                first.push( 64 );
+                second.push( 7 );
+            }
+            catch( const raft::stream_aborted_exception & )
+            {
+                second.abort();
+            }
+        } );
+        while( first.write_blocked_since() == 0 )
+        {
+            std::this_thread::yield();
+        }
+        try
+        {
+            std::uint64_t v = 0;
+            first.pop( v );
+            second.pop( got );
+        }
+        catch( const raft::stream_aborted_exception & )
+        {
+        }
+        writer.join();
+    } );
+    EXPECT_TRUE( finished ) << "writer still waiting after 5 s";
+    EXPECT_EQ( got, 7u );
+    EXPECT_EQ( first.size(), first.capacity() );
+}
+
+TEST( ringbuffer_slip, lone_element_reaches_a_blocked_reader )
+{
+    /** one element, pushed while the reader spins and again once it has
+     *  parked: either way the reader takes it without a second one **/
+    for( const auto settle : { 0ms, park_settle } )
+    {
+        ring_buffer<std::uint64_t> q( 64 );
+        std::uint64_t got   = 0;
+        const bool finished = finishes_within( q, 5s, [ & ]() {
+            std::thread writer( [ & ]() {
+                while( q.read_blocked_since() == 0 )
+                {
+                    std::this_thread::yield();
+                }
+                std::this_thread::sleep_for( settle );
+                q.push( 42 );
+            } );
+            try
+            {
+                q.pop( got );
+            }
+            catch( const raft::stream_aborted_exception & )
+            {
+            }
+            writer.join();
+        } );
+        EXPECT_TRUE( finished ) << "reader still waiting after 5 s";
+        EXPECT_EQ( got, 42u );
+    }
+}
+
+TEST( ringbuffer_slip, reader_drains_a_short_batch_then_sees_the_close )
+{
+    /** the writer closes with 3 elements queued, fewer than the 16 a
+     *  spinning reader of a 64-slot ring waits for: the reader takes all
+     *  3 in order, then gets the close **/
+    ring_buffer<std::uint64_t> q( 64 );
+    std::vector<std::uint64_t> got;
+    bool closed         = false;
+    const bool finished = finishes_within( q, 5s, [ & ]() {
+        std::thread writer( [ & ]() {
+            while( q.read_blocked_since() == 0 )
+            {
+                std::this_thread::yield();
+            }
+            for( std::uint64_t i = 0; i < 3; ++i )
+            {
+                q.push( i );
+            }
+            q.close_write();
+        } );
+        try
+        {
+            for( ;; )
+            {
+                std::uint64_t v = 0;
+                q.pop( v );
+                got.push_back( v );
+            }
+        }
+        catch( const raft::closed_port_exception & )
+        {
+            closed = true;
+        }
+        catch( const raft::stream_aborted_exception & )
+        {
+        }
+        writer.join();
+    } );
+    EXPECT_TRUE( finished ) << "reader still waiting after 5 s";
+    EXPECT_TRUE( closed );
+    EXPECT_EQ( got, ( std::vector<std::uint64_t>{ 0, 1, 2 } ) );
 }

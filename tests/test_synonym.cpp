@@ -10,6 +10,7 @@
 #include <chrono>
 #include <iterator>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <algo/corpus.hpp>
@@ -58,6 +59,40 @@ std::unique_ptr<raft::kernel> alt( const i64 scale, const int spin )
 {
     return std::make_unique<costed_scaler>( scale, spin );
 }
+
+/** Pass-through that sleeps `each` per invocation, and `planted` instead
+ *  on its invocation number `planted_at`. A sleep lasts at least its
+ *  time, so preemption can only lengthen an invocation. */
+class sleeping_pass : public raft::kernel
+{
+public:
+    sleeping_pass( const std::chrono::microseconds each,
+                   const std::chrono::microseconds planted,
+                   const std::size_t planted_at )
+        : each_( each ), planted_( planted ), planted_at_( planted_at )
+    {
+        input.addPort<i64>( "0" );
+        output.addPort<i64>( "0" );
+    }
+    raft::kstatus run() override
+    {
+        auto v         = input[ "0" ].pop_s<i64>();
+        const auto nap = calls_++ == planted_at_ ? planted_ : each_;
+        if( nap.count() > 0 )
+        {
+            std::this_thread::sleep_for( nap );
+        }
+        auto out = output[ "0" ].allocate_s<i64>();
+        ( *out ) = *v;
+        return raft::proceed;
+    }
+
+private:
+    std::chrono::microseconds each_;
+    std::chrono::microseconds planted_;
+    std::size_t planted_at_;
+    std::size_t calls_{ 0 };
+};
 
 } /** end anonymous namespace **/
 
@@ -118,13 +153,49 @@ TEST( synonym, converges_to_fastest_alternative )
 
     EXPECT_EQ( group->active(), 1u ); /** committed to the cheap one **/
     EXPECT_GE( group->swap_count(), 1u );
-    EXPECT_GT( group->mean_invocation_ns( 0 ),
-               group->mean_invocation_ns( 1 ) );
+    EXPECT_GT( group->median_invocation_ns( 0 ),
+               group->median_invocation_ns( 1 ) );
     ASSERT_EQ( out.size(), count );
     for( std::size_t i = 0; i < count; ++i )
     {
         EXPECT_EQ( out[ i ], i64( 3 * i ) ); /** swap never corrupted **/
     }
+}
+
+TEST( synonym, one_slow_invocation_does_not_flip_the_choice )
+{
+    /** alternative 0 sleeps 2 ms per invocation. Alternative 1 does not
+     *  sleep, except for 50 ms on one invocation of its 8-call window:
+     *  its mean (over 6 ms) is above alternative 0's, its median is not
+     *  **/
+    using std::chrono::microseconds;
+    std::vector<std::unique_ptr<raft::kernel>> alts;
+    alts.push_back( std::make_unique<sleeping_pass>(
+        microseconds( 2'000 ), microseconds( 2'000 ), 0 ) );
+    alts.push_back( std::make_unique<sleeping_pass>(
+        microseconds( 0 ), microseconds( 50'000 ), 3 ) );
+    raft::swap_policy policy;
+    policy.probe_window     = 8;
+    policy.recheck_interval = 0;
+    auto *group = raft::kernel::make<raft::synonym_kernel>(
+        std::move( alts ), policy );
+
+    const std::size_t count = 64;
+    std::vector<i64> out;
+    raft::map m;
+    auto p = m.link( raft::kernel::make<raft::generate<i64>>(
+                         count,
+                         []( std::size_t i ) { return i64( i ); } ),
+                     group );
+    m.link( &( p.dst ), raft::kernel::make<raft::write_each<i64>>(
+                            std::back_inserter( out ) ) );
+    m.exe();
+
+    EXPECT_EQ( group->active(), 1u );
+    EXPECT_GE( group->median_invocation_ns( 0 ), 2e6 );
+    EXPECT_LT( group->median_invocation_ns( 1 ),
+               group->median_invocation_ns( 0 ) );
+    EXPECT_EQ( out.size(), count );
 }
 
 TEST( synonym, recheck_interval_triggers_reprobe )
