@@ -118,10 +118,10 @@ public:
 
 /**
  * Static analysis (raft::analyze, src/analysis/) found error-severity
- * diagnostics and run_options::analysis.fail_on_error is set: the graph is
- * structurally unsafe to run (unconnected ports, deadlock-prone cycles over
- * finite FIFOs, order-sensitive kernels inside replica lanes, ...). what()
- * aggregates every error diagnostic. Derives from graph_exception so code
+ * diagnostics inside map::exe(): the graph is structurally unsafe to run
+ * (unconnected ports, deadlock-prone cycles over finite FIFOs,
+ * order-sensitive kernels inside replica lanes, ...). what() aggregates
+ * every error diagnostic. Derives from graph_exception so code
  * catching topology errors keeps working.
  */
 class analysis_error : public graph_exception

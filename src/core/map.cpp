@@ -133,32 +133,29 @@ void map::exe( const run_options &opts )
         {
             *opts.analysis.report_out = rep;
         }
-        if( opts.analysis.fail_on_error )
+        std::string fatal;
+        std::size_t fatal_count = 0;
+        for( const auto &d : rep.diagnostics )
         {
-            std::string fatal;
-            std::size_t fatal_count = 0;
-            for( const auto &d : rep.diagnostics )
+            const bool counts =
+                ( d.sev == analysis::severity::error &&
+                  d.id != "incompatible-link-types" ) ||
+                ( opts.analysis.warnings_as_errors &&
+                  d.sev == analysis::severity::warning );
+            if( counts )
             {
-                const bool counts =
-                    ( d.sev == analysis::severity::error &&
-                      d.id != "incompatible-link-types" ) ||
-                    ( opts.analysis.warnings_as_errors &&
-                      d.sev == analysis::severity::warning );
-                if( counts )
-                {
-                    fatal += "\n  " + d.to_string();
-                    ++fatal_count;
-                }
+                fatal += "\n  " + d.to_string();
+                ++fatal_count;
             }
-            if( fatal_count > 0 )
-            {
-                throw analysis_error(
-                    "graph analysis failed (" +
-                    std::to_string( fatal_count ) + " error" +
-                    ( fatal_count == 1 ? "" : "s" ) + ")" + fatal +
-                    "\n(inspect with raft::analyze; opt out via "
-                    "run_options::analysis)" );
-            }
+        }
+        if( fatal_count > 0 )
+        {
+            throw analysis_error(
+                "graph analysis failed (" +
+                std::to_string( fatal_count ) + " error" +
+                ( fatal_count == 1 ? "" : "s" ) + ")" + fatal +
+                "\n(inspect with raft::analyze; opt out via "
+                "run_options::analysis)" );
         }
     }
 

@@ -43,8 +43,9 @@ enum class split_kind
  * models, and actuates live: activating/retiring replicas through the
  * split/reduce adapters, predictively growing FIFOs ahead of the monitor's
  * reactive 3δ-blocked trigger, and retuning the split strategy from
- * observed lane skew. Off by default — with enabled == false nothing in
- * the runtime changes.
+ * observed lane skew. The policy thresholds and the EWMA factor are
+ * constants (runtime/elastic/policy.hpp, estimator.hpp). Off by default —
+ * with enabled == false nothing in the runtime changes.
  */
 struct elastic_options
 {
@@ -66,34 +67,11 @@ struct elastic_options
         std::chrono::microseconds( 500 ) };
     /** Consecutive agreeing control windows before actuation. */
     std::size_t hysteresis{ 3 };
-    /** EWMA smoothing factor for the online rate estimates, in (0,1];
-     *  higher tracks faster, lower smooths more. */
-    double ewma_alpha{ 0.4 };
     ///@}
 
-    /** @name policy thresholds */
-    ///@{
-    /** Utilization above which a kernel is classified bottleneck. */
-    double high_utilization{ 0.85 };
-    /** Utilization below which (recomputed at active-1 replicas) a
-     *  replica is retired. */
-    double low_utilization{ 0.45 };
-    /** Split-input occupancy fraction treated as bottleneck evidence even
-     *  when the rate estimates disagree (backpressure signal). */
-    double pressure_threshold{ 0.75 };
-    /** Coefficient of variation across active lane occupancies above
-     *  which a strict round-robin split is retuned to least-utilized. */
-    double skew_threshold{ 0.5 };
-    ///@}
-
-    /** @name actuators */
-    ///@{
     /** Grow FIFOs predicted (M/M/1) to exceed capacity before the writer
      *  ever blocks 3δ. Requires dynamic_resize. */
     bool predictive_resize{ true };
-    /** Allow the controller to swap split strategies mid-run. */
-    bool retune_split{ true };
-    ///@}
 
     /** Filled with the controller's trajectory at teardown when non-null. */
     runtime::elastic_report *report_out{ nullptr };
@@ -118,16 +96,15 @@ struct supervision_options
     /** @name watchdog (rides the monitor thread)
      * Zero graph-wide progress (no stream pushed or popped an element)
      * for longer than this deadline flags the graph as stalled; the
-     * supervisor dumps per-kernel occupancy/rate diagnostics and — when
-     * watchdog_abort is set — cancels the graph so blocked kernels wake
-     * with stream_aborted_exception instead of hanging forever.
+     * supervisor dumps per-kernel occupancy/rate diagnostics and cancels
+     * the graph so blocked kernels wake with stream_aborted_exception
+     * instead of hanging forever.
      * 0 disables the watchdog. It runs on the monitor's tick, which comes
      * about once per max(monitor_delta, 1 ms) while no resize rule can
      * fire, so a stall is noticed up to that much past the deadline.
      */
     ///@{
     std::chrono::nanoseconds watchdog_deadline{ 0 };
-    bool watchdog_abort{ true };
     ///@}
 
     /** Filled with the supervisor's history at teardown when non-null. */
@@ -140,18 +117,16 @@ struct report; /** src/analysis/analysis.hpp **/
 
 /**
  * Static analysis (src/analysis/): map::exe() runs the raft::analyze graph
- * linter over the assembled topology before any rewrite or allocation and,
- * by default, refuses to execute a graph with error-severity diagnostics
- * (throwing analysis_error, which aggregates them all). Warnings and notes
- * never block execution. Disable `enabled` to skip the pass entirely, or
- * `fail_on_error` to run it purely for the report.
+ * linter over the assembled topology before any rewrite or allocation and
+ * refuses to execute a graph with error-severity diagnostics (throwing
+ * analysis_error, which aggregates them all). Warnings and notes never
+ * block execution. Disable `enabled` to skip the pass entirely; call
+ * raft::analyze() for a report without running the graph.
  */
 struct analysis_options
 {
     /** Run the linter inside exe(). */
     bool enabled{ true };
-    /** Throw analysis_error when the report contains errors. */
-    bool fail_on_error{ true };
     /** Escalate warning diagnostics to fail the run too. */
     bool warnings_as_errors{ false };
     /** Filled with the full report (errors, warnings and notes) when

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 namespace raft::net {
 
@@ -77,6 +78,16 @@ std::size_t compact_scalar_frames( std::uint8_t *data, const std::size_t n,
     }
     wr += n - rd;
     return wr;
+}
+
+signal decode_signal( const std::uint8_t byte )
+{
+    if( byte > term )
+    {
+        throw net_exception( "frame carries unknown signal byte " +
+                             std::to_string( byte ) );
+    }
+    return static_cast<signal>( byte );
 }
 
 std::vector<std::uint8_t> rle_compress( const std::uint8_t *data,

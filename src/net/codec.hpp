@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/exceptions.hpp"
+#include "core/signal.hpp"
 
 namespace raft::net {
 
@@ -80,6 +81,11 @@ frame_scan_result scan_scalar_frames( const std::uint8_t *data,
  *  scan_scalar_frames() counted are contiguous. Returns the new length. */
 std::size_t compact_scalar_frames( std::uint8_t *data, std::size_t n,
                                    std::size_t payload_size ) noexcept;
+
+/** The raft::signal a received data frame's signal byte names. Throws
+ *  net_exception on a byte that names none (anything above raft::term);
+ *  callers handle the EOF and heartbeat markers before decoding. */
+signal decode_signal( std::uint8_t byte );
 ///@}
 
 /** @name varint / zigzag primitives */

@@ -448,8 +448,7 @@ private:
             T v;
             std::memcpy( &v, rx_.data() + off + 1 + sizeof( seq ),
                          sizeof( T ) );
-            output[ "0" ].push(
-                v, static_cast<signal>( rx_[ off ] ) );
+            output[ "0" ].push( v, decode_signal( rx_[ off ] ) );
             ++expected_;
             ++since_ack_;
             off += data_frame;

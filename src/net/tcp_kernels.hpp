@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstring>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -45,14 +44,6 @@ public:
     static constexpr std::size_t wire_batch = 64;
 
     explicit tcp_sink( tcp_connection conn )
-        : tcp_sink( std::make_shared<tcp_connection>(
-              std::move( conn ) ) )
-    {
-    }
-
-    /** Shared-connection form: lets a tcp_source on the same socket's
-     *  read side coexist (full-duplex remote services, net/remote.hpp). */
-    explicit tcp_sink( std::shared_ptr<tcp_connection> conn )
         : kernel(), conn_( std::move( conn ) )
     {
         input.addPort<T>( "0" );
@@ -75,16 +66,16 @@ public:
         catch( const closed_port_exception & )
         {
             const std::uint8_t frame = detail::eof_frame;
-            conn_->send_all( &frame, 1 );
-            conn_->shutdown_write();
+            conn_.send_all( &frame, 1 );
+            conn_.shutdown_write();
             throw; /** normal completion path **/
         }
-        conn_->send_all( wire_.data(), wire_.size() );
+        conn_.send_all( wire_.data(), wire_.size() );
         return raft::proceed;
     }
 
 private:
-    std::shared_ptr<tcp_connection> conn_;
+    tcp_connection conn_;
     std::vector<std::uint8_t> wire_;
 };
 
@@ -102,12 +93,6 @@ public:
     static constexpr std::size_t wire_batch = 64;
 
     explicit tcp_source( tcp_connection conn )
-        : tcp_source( std::make_shared<tcp_connection>(
-              std::move( conn ) ) )
-    {
-    }
-
-    explicit tcp_source( std::shared_ptr<tcp_connection> conn )
         : kernel(), conn_( std::move( conn ) )
     {
         output.addPort<T>( "0" );
@@ -121,7 +106,7 @@ public:
             const auto base = rx_.size();
             rx_.resize( base + wire_batch * ( 1 + sizeof( T ) ) );
             const auto got =
-                conn_->recv_some( rx_.data() + base, rx_.size() - base );
+                conn_.recv_some( rx_.data() + base, rx_.size() - base );
             rx_.resize( base + got );
             if( got == 0 )
             {
@@ -139,12 +124,21 @@ public:
         {
             auto w = output[ "0" ].template allocate_range<T>(
                 scan.frames - emitted );
-            for( std::size_t i = 0; i < w.size(); ++i )
+            std::size_t i = 0;
+            try
             {
-                const auto *frame = rx_.data() +
-                    ( emitted + i ) * ( 1 + sizeof( T ) );
-                std::memcpy( &w[ i ], frame + 1, sizeof( T ) );
-                w.set_signal( i, static_cast<signal>( frame[ 0 ] ) );
+                for( ; i < w.size(); ++i )
+                {
+                    const auto *frame = rx_.data() +
+                        ( emitted + i ) * ( 1 + sizeof( T ) );
+                    w.set_signal( i, decode_signal( frame[ 0 ] ) );
+                    std::memcpy( &w[ i ], frame + 1, sizeof( T ) );
+                }
+            }
+            catch( const net_exception & )
+            {
+                w.publish( i ); /** ship only the frames before the bad one **/
+                throw;
             }
             emitted += w.size();
         }
@@ -161,7 +155,7 @@ public:
     }
 
 private:
-    std::shared_ptr<tcp_connection> conn_;
+    tcp_connection conn_;
     std::vector<std::uint8_t> rx_;
     bool eof_{ false };
 };
@@ -294,14 +288,22 @@ public:
         {
             auto w =
                 output[ "0" ].template allocate_range<T>( n - emitted );
-            for( std::size_t i = 0; i < w.size(); ++i )
+            std::size_t i = 0;
+            try
             {
-                std::memcpy( &w[ i ],
-                             raw.data() + ( emitted + i ) * sizeof( T ),
-                             sizeof( T ) );
-                w.set_signal(
-                    i, static_cast<signal>(
-                           raw[ n * sizeof( T ) + emitted + i ] ) );
+                for( ; i < w.size(); ++i )
+                {
+                    const auto k = emitted + i;
+                    w.set_signal( i,
+                                  decode_signal( raw[ n * sizeof( T ) + k ] ) );
+                    std::memcpy( &w[ i ], raw.data() + k * sizeof( T ),
+                                 sizeof( T ) );
+                }
+            }
+            catch( const net_exception & )
+            {
+                w.publish( i ); /** ship only the frames before the bad one **/
+                throw;
             }
             emitted += w.size();
         }

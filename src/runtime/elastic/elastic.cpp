@@ -16,13 +16,9 @@ policy_config make_policy_config( const elastic_options &cfg,
                                   const std::size_t max_active )
 {
     policy_config p;
-    p.high_utilization   = cfg.high_utilization;
-    p.low_utilization    = cfg.low_utilization;
-    p.pressure_threshold = cfg.pressure_threshold;
-    p.skew_threshold     = cfg.skew_threshold;
-    p.hysteresis         = cfg.hysteresis == 0 ? 1 : cfg.hysteresis;
-    p.min_active         = min_active;
-    p.max_active         = max_active;
+    p.hysteresis = cfg.hysteresis == 0 ? 1 : cfg.hysteresis;
+    p.min_active = min_active;
+    p.max_active = max_active;
     return p;
 }
 
@@ -87,12 +83,8 @@ controller::controller( const run_options &opts, const monitor &mon )
     {
         period_ns_ = delta; /** can't control faster than we sample **/
     }
-    if( cfg_.ewma_alpha <= 0.0 || cfg_.ewma_alpha > 1.0 )
-    {
-        cfg_.ewma_alpha = 0.4;
-    }
     streams_.assign( mon_.streams().size(),
-                     stream_state{ rate_estimator( cfg_.ewma_alpha ), 0 } );
+                     stream_state{ rate_estimator(), 0 } );
 }
 
 void controller::add_group( const replica_group &g )
@@ -311,8 +303,7 @@ void controller::control_group( group_state &g )
         }
     }
 
-    if( cfg_.retune_split && g.strict_routing &&
-        g.strategy.want_least_utilized( e ) )
+    if( g.strict_routing && g.strategy.want_least_utilized( e ) )
     {
         for( auto *sp : g.splits )
         {

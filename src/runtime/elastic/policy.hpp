@@ -31,12 +31,20 @@ struct group_estimate
     bool rates_valid{ false };/**< λ̂ and μ̂ both warmed up               */
 };
 
+/** Utilization above which a group is classified bottleneck. */
+inline constexpr double high_utilization = 0.85;
+/** Utilization below which (recomputed at active-1 replicas) a replica is
+ *  retired. */
+inline constexpr double low_utilization = 0.45;
+/** Split-input occupancy fraction treated as bottleneck evidence even when
+ *  the rate estimates disagree (backpressure signal). */
+inline constexpr double pressure_threshold = 0.75;
+/** Coefficient of variation across active lane occupancies above which a
+ *  strict round-robin split is retuned to least-utilized. */
+inline constexpr double skew_threshold = 0.5;
+
 struct policy_config
 {
-    double high_utilization{ 0.85 };
-    double low_utilization{ 0.45 };
-    double pressure_threshold{ 0.75 };
-    double skew_threshold{ 0.5 };
     std::size_t hysteresis{ 3 };
     std::size_t min_active{ 1 };
     std::size_t max_active{ 1 };
@@ -89,7 +97,7 @@ public:
      */
     bool is_bottleneck( const group_estimate &e ) const noexcept
     {
-        if( e.input_pressure > cfg_.pressure_threshold )
+        if( e.input_pressure > pressure_threshold )
         {
             return true;
         }
@@ -97,7 +105,7 @@ public:
         {
             return false;
         }
-        return utilization( e ) > cfg_.high_utilization;
+        return utilization( e ) > high_utilization;
     }
 
     /**
@@ -118,7 +126,7 @@ public:
         const auto rho_minus_one =
             e.lambda /
             ( e.mu * static_cast<double>( e.active - 1 ) );
-        return rho_minus_one < cfg_.low_utilization;
+        return rho_minus_one < low_utilization;
     }
 
     double utilization( const group_estimate &e ) const noexcept
@@ -143,7 +151,7 @@ public:
             return cfg_.min_active;
         }
         const auto raw = std::ceil(
-            lambda / ( mu * cfg_.high_utilization ) );
+            lambda / ( mu * high_utilization ) );
         auto r = raw < 1.0 ? std::size_t{ 1 }
                            : static_cast<std::size_t>( raw );
         if( r < cfg_.min_active )
@@ -189,7 +197,7 @@ public:
             streak_ = 0;
             return false;
         }
-        streak_ = e.lane_skew > cfg_.skew_threshold ? streak_ + 1 : 0;
+        streak_ = e.lane_skew > skew_threshold ? streak_ + 1 : 0;
         if( streak_ >= cfg_.hysteresis )
         {
             streak_ = 0;

@@ -183,7 +183,7 @@ void supervisor::on_tick( const monitor &mon, const std::int64_t now_ns )
                                     telemetry::cat::supervisor );
         }
         last_stall_diagnostics_ = stall_diagnostics_locked( mon, now_ns );
-        if( !opts_.watchdog_abort || !canceller_ )
+        if( !canceller_ )
         {
             return;
         }

@@ -13,10 +13,9 @@
  * rides the monitor thread (monitor::attach_supervisor) as a graph-wide
  * watchdog over the monitor's streams: if no stream pushes or pops a
  * single element for longer than the deadline, it records a stall,
- * captures per-stream occupancy/rate diagnostics, and — when
- * watchdog_abort is set — cancels the graph through the canceller callback
- * the scheduler registered, so blocked kernels wake with
- * stream_aborted_exception instead of hanging forever.
+ * captures per-stream occupancy/rate diagnostics, and cancels the graph
+ * through the canceller callback the scheduler registered, so blocked
+ * kernels wake with stream_aborted_exception instead of hanging forever.
  *
  * Thread safety: on_failure() arrives from scheduler threads, on_tick()
  * from the monitor thread; one mutex serializes both against report().

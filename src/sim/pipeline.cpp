@@ -225,22 +225,6 @@ private:
 
 } /** end anonymous namespace **/
 
-double service_scv( const service_dist d )
-{
-    switch( d )
-    {
-        case service_dist::deterministic:
-            return 0.0;
-        case service_dist::uniform:
-            return 1.0 / 3.0;
-        case service_dist::hyperexponential:
-            return 4.0;
-        case service_dist::exponential:
-        default:
-            return 1.0;
-    }
-}
-
 pipeline_result simulate_pipeline( const pipeline_desc &desc )
 {
     if( desc.stages.empty() )

@@ -34,9 +34,6 @@ enum class service_dist
     hyperexponential  /**< balanced-means H2 with CV^2 = 4           */
 };
 
-/** Squared coefficient of variation of a service distribution. */
-double service_scv( service_dist d );
-
 struct stage_desc
 {
     std::string name;

@@ -185,6 +185,23 @@ TEST( pipeline_sim, reproducible_for_seed )
     EXPECT_DOUBLE_EQ( a.makespan_s, b.makespan_s );
 }
 
+TEST( pipeline_sim, non_exponential_service_keeps_mean_rate )
+{
+    /** a single-stage pipeline's makespan with n items has mean n/rate
+     *  regardless of the service distribution **/
+    for( const auto d :
+         { service_dist::uniform, service_dist::hyperexponential } )
+    {
+        pipeline_desc p;
+        p.stages.push_back( stage_desc{ "only", 100.0, 1, 1, d, false } );
+        p.items      = 40'000;
+        p.seed       = 123;
+        const auto r = simulate_pipeline( p );
+        EXPECT_NEAR( r.throughput_items_per_s, 100.0, 3.0 )
+            << "dist " << static_cast<int>( d );
+    }
+}
+
 TEST( pipeline_sim, empty_pipeline_rejected )
 {
     pipeline_desc d;

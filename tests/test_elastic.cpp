@@ -188,8 +188,7 @@ TEST( elastic_policy, underutilized_group_retires_a_replica )
 TEST( elastic_policy, model_desired_matches_mm1_sizing )
 {
     raft::elastic::policy_config cfg;
-    cfg.high_utilization = 0.85;
-    cfg.max_active       = 8;
+    cfg.max_active = 8;
     raft::elastic::replica_policy p( cfg );
     /** smallest r with λ/(μ·r) ≤ 0.85: 900/(300·r) ≤ 0.85 → r = 4 **/
     EXPECT_EQ( p.model_desired( 900.0, 300.0 ), 4u );
@@ -223,8 +222,7 @@ TEST( elastic_policy, predict_capacity_grows_ahead_of_blocking )
 TEST( elastic_policy, strategy_retune_needs_sustained_skew )
 {
     raft::elastic::policy_config cfg;
-    cfg.skew_threshold = 0.5;
-    cfg.hysteresis     = 2;
+    cfg.hysteresis = 2;
     raft::elastic::strategy_policy sp( cfg );
 
     raft::elastic::group_estimate e;

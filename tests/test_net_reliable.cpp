@@ -1,16 +1,21 @@
 /**
  * Network robustness: EINTR-safe socket I/O, connect retry with backoff,
- * heartbeat frames in the scalar codec, and the reliable (sequence-
- * numbered, reconnecting) TCP kernels — exactly-once delivery across a
- * link killed mid-stream by the fault-injection harness.
+ * heartbeat frames in the scalar codec, rejection of signal bytes that
+ * name no raft::signal, a seeded mutation check of the frame scanner, and
+ * the reliable (sequence-numbered, reconnecting) TCP kernels —
+ * exactly-once delivery across a link killed mid-stream by the
+ * fault-injection harness.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <iterator>
 #include <numeric>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -182,6 +187,161 @@ TEST( net_robust, tcp_source_tolerates_heartbeats )
     for( i64 v = 0; v < 100; ++v )
     {
         EXPECT_EQ( received[ static_cast<std::size_t>( v ) ], v );
+    }
+}
+
+TEST( net_robust, tcp_source_rejects_unknown_signal_byte )
+{
+    raft::net::tcp_listener listener( 0 );
+    const auto port = listener.port();
+
+    std::vector<i64> received;
+    bool threw = false;
+    std::string what;
+    std::chrono::steady_clock::duration took{};
+    std::thread node_b( [ & ]() {
+        auto conn = listener.accept();
+        raft::map m;
+        m.link( raft::kernel::make<raft::net::tcp_source<i64>>(
+                    std::move( conn ) ),
+                raft::kernel::make<raft::write_each<i64>>(
+                    std::back_inserter( received ) ) );
+        const auto t0 = std::chrono::steady_clock::now();
+        try
+        {
+            m.exe();
+        }
+        catch( const raft::graph_error &e )
+        {
+            threw = true;
+            what  = e.what();
+        }
+        took = std::chrono::steady_clock::now() - t0;
+    } );
+
+    auto conn =
+        raft::net::tcp_connection::connect( "127.0.0.1", port );
+    /** one well-formed frame, then one whose signal byte names no
+     *  raft::signal, then a clean end of stream **/
+    std::vector<std::uint8_t> wire;
+    const i64 good = 1, bad = 2;
+    raft::net::append_scalar_frame( wire, raft::none, &good,
+                                    sizeof( good ) );
+    raft::net::append_scalar_frame( wire, 0x42, &bad, sizeof( bad ) );
+    wire.push_back( raft::net::scalar_eof_frame );
+    conn.send_all( wire.data(), wire.size() );
+    conn.shutdown_write();
+    node_b.join();
+
+    EXPECT_TRUE( threw ) << "a frame with signal byte 0x42 was delivered";
+    EXPECT_NE( what.find( "signal byte 66" ), std::string::npos ) << what;
+    EXPECT_LT( took, std::chrono::seconds( 5 ) );
+    EXPECT_EQ( std::count( received.begin(), received.end(), bad ), 0 );
+}
+
+namespace {
+
+/** The data frames of wire[0..n) in order, walked the way the scalar
+ *  frame format defines them: heartbeats skipped, stop at EOF or at a
+ *  partial trailing frame. */
+std::vector<std::vector<std::uint8_t>>
+reference_frames( const std::uint8_t *wire, const std::size_t n,
+                  const std::size_t payload, bool &eof )
+{
+    std::vector<std::vector<std::uint8_t>> out;
+    eof = false;
+    std::size_t at = 0;
+    while( at < n )
+    {
+        if( wire[ at ] == raft::net::scalar_eof_frame )
+        {
+            eof = true;
+            break;
+        }
+        if( wire[ at ] == raft::net::scalar_heartbeat_frame )
+        {
+            ++at;
+            continue;
+        }
+        if( n - at < 1 + payload )
+        {
+            break;
+        }
+        out.emplace_back( wire + at, wire + at + 1 + payload );
+        at += 1 + payload;
+    }
+    return out;
+}
+
+} /** end anonymous namespace **/
+
+TEST( net_robust, frame_scanner_survives_mutation )
+{
+    for( const std::uint32_t seed : { 1u, 2u, 3u, 4u } )
+    {
+        std::mt19937 rng( seed );
+        auto below = [ &rng ]( const std::size_t k ) {
+            return std::uniform_int_distribution<std::size_t>( 0, k - 1 )(
+                rng );
+        };
+        for( int c = 0; c < 500; ++c )
+        {
+            const std::size_t payload = 1 + below( 16 );
+            std::vector<std::uint8_t> wire;
+            const auto frames = below( 40 );
+            for( std::size_t f = 0; f < frames; ++f )
+            {
+                for( auto h = below( 3 ); h > 0; --h )
+                {
+                    wire.push_back( raft::net::scalar_heartbeat_frame );
+                }
+                wire.push_back( static_cast<std::uint8_t>( below( 4 ) ) );
+                for( std::size_t b = 0; b < payload; ++b )
+                {
+                    wire.push_back( static_cast<std::uint8_t>( below( 256 ) ) );
+                }
+            }
+            if( below( 2 ) == 0 )
+            {
+                wire.push_back( raft::net::scalar_eof_frame );
+            }
+            /** truncate at a random point, then flip random bytes **/
+            wire.resize( below( wire.size() + 1 ) );
+            for( auto k = wire.empty() ? 0 : below( 5 ); k > 0; --k )
+            {
+                wire[ below( wire.size() ) ] ^=
+                    static_cast<std::uint8_t>( 1 + below( 255 ) );
+            }
+            SCOPED_TRACE( "seed " + std::to_string( seed ) + " case " +
+                          std::to_string( c ) );
+
+            const auto n    = wire.size();
+            const auto scan = raft::net::scan_scalar_frames(
+                wire.data(), n, payload );
+            ASSERT_LE( scan.consumed, n );
+            bool ref_eof   = false;
+            const auto ref = reference_frames( wire.data(), n, payload,
+                                               ref_eof );
+            ASSERT_EQ( scan.frames, ref.size() );
+            ASSERT_EQ( scan.eof, ref_eof );
+
+            const auto packed = raft::net::compact_scalar_frames(
+                wire.data(), n, payload );
+            ASSERT_LE( packed, n );
+            const auto again = raft::net::scan_scalar_frames(
+                wire.data(), packed, payload );
+            ASSERT_EQ( again.frames, scan.frames );
+            ASSERT_EQ( again.eof, scan.eof );
+            /** frame i now starts at i * (1 + payload), as tcp_source
+             *  reads it **/
+            for( std::size_t i = 0; i < ref.size(); ++i )
+            {
+                const auto *at = wire.data() + i * ( 1 + payload );
+                ASSERT_TRUE(
+                    std::equal( ref[ i ].begin(), ref[ i ].end(), at ) )
+                    << "frame " << i;
+            }
+        }
     }
 }
 
