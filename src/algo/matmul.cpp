@@ -64,10 +64,10 @@ std::size_t tiles_per_dim( const std::size_t n )
 } /** end anonymous namespace **/
 
 mm_source::mm_source( const std::size_t n )
-    : kernel(), tiles_per_dim_( tiles_per_dim( n ) ),
+    : kernel(), out_( output.addPort<mm_work>( "0" ) ),
+      tiles_per_dim_( tiles_per_dim( n ) ),
       tiles_( tiles_per_dim_ * tiles_per_dim_ )
 {
-    output.addPort<mm_work>( "0" );
 }
 
 kstatus mm_source::run()
@@ -77,7 +77,7 @@ kstatus mm_source::run()
         return raft::stop;
     }
     const auto t = static_cast<std::uint32_t>( tiles_per_dim_ );
-    auto out     = output[ "0" ].allocate_s<mm_work>();
+    auto out     = out_.allocate_s<mm_work>();
     out->tile_r  = static_cast<std::uint32_t>( next_ ) / t;
     out->tile_c  = static_cast<std::uint32_t>( next_ ) % t;
     ++next_;
@@ -90,16 +90,15 @@ kstatus mm_source::run()
 }
 
 mm_multiply::mm_multiply( const matrix *A, const matrix *B )
-    : kernel(), A_( A ), B_( B )
+    : kernel(), in_( input.addPort<mm_work>( "0" ) ),
+      out_( output.addPort<mm_tile>( "0" ) ), A_( A ), B_( B )
 {
-    input.addPort<mm_work>( "0" );
-    output.addPort<mm_tile>( "0" );
 }
 
 kstatus mm_multiply::run()
 {
-    auto w   = input[ "0" ].pop_s<mm_work>();
-    auto out = output[ "0" ].allocate_s<mm_tile>();
+    auto w   = in_.pop_s<mm_work>();
+    auto out = out_.allocate_s<mm_tile>();
     out->tile_r  = w->tile_r;
     out->tile_c  = w->tile_c;
     const auto n = A_->n;
@@ -122,14 +121,14 @@ kstatus mm_multiply::run()
     return raft::proceed;
 }
 
-mm_sink::mm_sink( matrix *C ) : kernel(), C_( C )
+mm_sink::mm_sink( matrix *C )
+    : kernel(), in_( input.addPort<mm_tile>( "0" ) ), C_( C )
 {
-    input.addPort<mm_tile>( "0" );
 }
 
 kstatus mm_sink::run()
 {
-    auto t       = input[ "0" ].pop_s<mm_tile>();
+    auto t       = in_.pop_s<mm_tile>();
     const auto n = C_->n;
     const auto r0 =
         static_cast<std::size_t>( t->tile_r ) * mm_tile_dim;

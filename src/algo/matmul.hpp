@@ -77,6 +77,7 @@ public:
     kstatus run() override;
 
 private:
+    port &out_;
     std::size_t tiles_per_dim_;
     std::size_t tiles_;
     std::size_t next_{ 0 };
@@ -96,6 +97,8 @@ public:
     }
 
 private:
+    port &in_;
+    port &out_;
     const matrix *A_;
     const matrix *B_;
 };
@@ -108,6 +111,7 @@ public:
     kstatus run() override;
 
 private:
+    port &in_;
     matrix *C_;
 };
 

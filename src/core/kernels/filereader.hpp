@@ -37,10 +37,10 @@ public:
     filereader( std::shared_ptr<const std::string> corpus,
                 const std::size_t overlap,
                 const std::size_t segment_bytes = default_segment )
-        : kernel(), corpus_( std::move( corpus ) ), overlap_( overlap ),
+        : kernel(), out_( output.addPort<mem_range>( "0" ) ),
+          corpus_( std::move( corpus ) ), overlap_( overlap ),
           segment_( segment_bytes == 0 ? 1 : segment_bytes )
     {
-        output.addPort<mem_range>( "0" );
     }
 
     /** Descriptors emitted per run(): one write-window handshake publishes
@@ -54,7 +54,7 @@ public:
         {
             return raft::stop;
         }
-        auto w = output[ "0" ].allocate_range<mem_range>( batch );
+        auto w = out_.allocate_range<mem_range>( batch );
         std::size_t i = 0;
         while( i < w.size() && cursor_ < total )
         {
@@ -94,6 +94,7 @@ private:
         return buf;
     }
 
+    port &out_;
     std::shared_ptr<const std::string> corpus_;
     std::size_t overlap_;
     std::size_t segment_;

@@ -28,10 +28,10 @@ template <class T> class for_each : public kernel
 public:
     for_each( const T *data, const std::size_t length,
               const std::size_t segment_elems = 4096 )
-        : kernel(), data_( data ), length_( length ),
+        : kernel(), out_( output.addPort<range<T>>( "0" ) ), data_( data ),
+          length_( length ),
           segment_( segment_elems == 0 ? 1 : segment_elems )
     {
-        output.addPort<range<T>>( "0" );
     }
 
     /** Descriptors emitted per run(): one write-window handshake publishes
@@ -44,7 +44,7 @@ public:
         {
             return raft::stop;
         }
-        auto w = output[ "0" ].template allocate_range<range<T>>( batch );
+        auto w = out_.allocate_range<range<T>>( batch );
         std::size_t i = 0;
         while( i < w.size() && cursor_ < length_ )
         {
@@ -65,6 +65,7 @@ public:
     }
 
 private:
+    port &out_;
     const T *data_;
     std::size_t length_;
     std::size_t segment_;

@@ -32,16 +32,16 @@ template <class A, class B = A> class transform : public kernel
 public:
     using fn_t = std::function<B( const A & )>;
 
-    explicit transform( fn_t fn ) : kernel(), fn_( std::move( fn ) )
+    explicit transform( fn_t fn )
+        : kernel(), in_( input.addPort<A>( "0" ) ),
+          out_( output.addPort<B>( "0" ) ), fn_( std::move( fn ) )
     {
-        input.addPort<A>( "0" );
-        output.addPort<B>( "0" );
     }
 
     kstatus run() override
     {
-        auto v   = input[ "0" ].template pop_s<A>();
-        auto out = output[ "0" ].template allocate_s<B>();
+        auto v   = in_.pop_s<A>();
+        auto out = out_.allocate_s<B>();
         ( *out ) = fn_( *v );
         return raft::proceed;
     }
@@ -50,6 +50,8 @@ public:
     kernel *clone() const override { return new transform( fn_ ); }
 
 private:
+    port &in_;
+    port &out_;
     fn_t fn_;
 };
 
@@ -61,18 +63,17 @@ public:
     using pred_t = std::function<bool( const T & )>;
 
     explicit filter( pred_t pred )
-        : kernel(), pred_( std::move( pred ) )
+        : kernel(), in_( input.addPort<T>( "0" ) ),
+          out_( output.addPort<T>( "0" ) ), pred_( std::move( pred ) )
     {
-        input.addPort<T>( "0" );
-        output.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
-        auto v = input[ "0" ].template pop_s<T>();
+        auto v = in_.pop_s<T>();
         if( pred_( *v ) )
         {
-            output[ "0" ].push<T>( *v );
+            out_.push<T>( *v );
         }
         return raft::proceed;
     }
@@ -81,6 +82,8 @@ public:
     kernel *clone() const override { return new filter( pred_ ); }
 
 private:
+    port &in_;
+    port &out_;
     pred_t pred_;
 };
 
@@ -88,9 +91,9 @@ private:
 template <class T> class tee : public kernel
 {
 public:
-    explicit tee( const std::size_t width ) : kernel()
+    explicit tee( const std::size_t width )
+        : kernel(), in_( input.addPort<T>( "0" ) )
     {
-        input.addPort<T>( "0" );
         for( std::size_t i = 0; i < width; ++i )
         {
             output.addPort<T>( std::to_string( i ) );
@@ -99,7 +102,7 @@ public:
 
     kstatus run() override
     {
-        auto v = input[ "0" ].template pop_s<T>();
+        auto v = in_.pop_s<T>();
         /** the lanes are the only outputs, in declaration order **/
         for( auto &p : output )
         {
@@ -107,6 +110,9 @@ public:
         }
         return raft::proceed;
     }
+
+private:
+    port &in_;
 };
 
 /** Combine `width` input streams ("0".."w-1") into one, in arrival
@@ -182,10 +188,10 @@ template <class T> class batch : public kernel
 {
 public:
     explicit batch( const std::size_t size )
-        : kernel(), size_( size == 0 ? 1 : size )
+        : kernel(), in_( input.addPort<T>( "0" ) ),
+          out_( output.addPort<std::vector<T>>( "0" ) ),
+          size_( size == 0 ? 1 : size )
     {
-        input.addPort<T>( "0" );
-        output.addPort<std::vector<T>>( "0" );
         pending_.reserve( size_ );
     }
 
@@ -194,14 +200,13 @@ public:
         T v{};
         try
         {
-            input[ "0" ].template pop<T>( v );
+            in_.pop<T>( v );
         }
         catch( const closed_port_exception & )
         {
             if( !pending_.empty() )
             {
-                output[ "0" ].push<std::vector<T>>(
-                    std::move( pending_ ) );
+                out_.push<std::vector<T>>( std::move( pending_ ) );
                 pending_ = {};
             }
             throw;
@@ -209,7 +214,7 @@ public:
         pending_.push_back( std::move( v ) );
         if( pending_.size() >= size_ )
         {
-            output[ "0" ].push<std::vector<T>>( std::move( pending_ ) );
+            out_.push<std::vector<T>>( std::move( pending_ ) );
             pending_ = {};
             pending_.reserve( size_ );
         }
@@ -217,6 +222,8 @@ public:
     }
 
 private:
+    port &in_;
+    port &out_;
     std::size_t size_;
     std::vector<T> pending_;
 };
@@ -225,23 +232,25 @@ private:
 template <class T> class unbatch : public kernel
 {
 public:
-    unbatch() : kernel()
+    unbatch()
+        : kernel(), in_( input.addPort<std::vector<T>>( "0" ) ),
+          out_( output.addPort<T>( "0" ) )
     {
-        input.addPort<std::vector<T>>( "0" );
-        output.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
-        auto group = input[ "0" ].template pop_s<std::vector<T>>();
+        auto group = in_.pop_s<std::vector<T>>();
         for( auto &v : *group )
         {
-            output[ "0" ].push<T>( std::move( v ) );
+            out_.push<T>( std::move( v ) );
         }
         return raft::proceed;
     }
 
 private:
+    port &in_;
+    port &out_;
 };
 
 } /** end namespace raft **/

@@ -17,19 +17,20 @@ template <class T, char delim = '\n'> class print : public kernel
 public:
     print() : print( std::cout ) {}
 
-    explicit print( std::ostream &os ) : kernel(), os_( &os )
+    explicit print( std::ostream &os )
+        : kernel(), in_( input.addPort<T>( "0" ) ), os_( &os )
     {
-        input.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
-        auto in = input[ "0" ].pop_s<T>();
+        auto in = in_.pop_s<T>();
         ( *os_ ) << ( *in ) << delim;
         return raft::proceed;
     }
 
 private:
+    port &in_;
     std::ostream *os_;
 };
 

@@ -23,9 +23,9 @@ public:
     static constexpr std::size_t batch = 64;
 
     template <class It>
-    read_each( It begin, It end ) : kernel()
+    read_each( It begin, It end )
+        : kernel(), out_( output.addPort<T>( "0" ) )
     {
-        output.addPort<T>( "0" );
         auto cursor = std::make_shared<It>( begin );
         auto last   = std::make_shared<It>( end );
         next_       = [ cursor, last ]() -> std::optional<T> {
@@ -44,7 +44,7 @@ public:
         if constexpr( std::is_default_constructible_v<T> &&
                       std::is_move_assignable_v<T> )
         {
-            auto w        = output[ "0" ].template allocate_range<T>( batch );
+            auto w        = out_.allocate_range<T>( batch );
             std::size_t i = 0;
             bool more     = true;
             while( i < w.size() )
@@ -77,12 +77,13 @@ public:
             {
                 return raft::stop;
             }
-            output[ "0" ].push<T>( std::move( *v ) );
+            out_.push<T>( std::move( *v ) );
             return raft::proceed;
         }
     }
 
 private:
+    port &out_;
     std::function<std::optional<T>()> next_;
 };
 

@@ -20,19 +20,20 @@ template <class T, class F = std::plus<T>> class reduce : public kernel
 {
 public:
     explicit reduce( T &result, F fn = F{} )
-        : kernel(), result_( &result ), fn_( std::move( fn ) )
+        : kernel(), in_( input.addPort<T>( "0" ) ), result_( &result ),
+          fn_( std::move( fn ) )
     {
-        input.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
-        auto v    = input[ "0" ].pop_s<T>();
+        auto v    = in_.pop_s<T>();
         *result_  = fn_( *result_, *v );
         return raft::proceed;
     }
 
 private:
+    port &in_;
     T *result_;
     F fn_;
 };
@@ -44,14 +45,14 @@ class range_reduce : public kernel
 {
 public:
     explicit range_reduce( T &result, F fn = F{} )
-        : kernel(), result_( &result ), fn_( std::move( fn ) )
+        : kernel(), in_( input.addPort<range<T>>( "0" ) ),
+          result_( &result ), fn_( std::move( fn ) )
     {
-        input.addPort<range<T>>( "0" );
     }
 
     kstatus run() override
     {
-        auto seg = input[ "0" ].template pop_s<range<T>>();
+        auto seg = in_.pop_s<range<T>>();
         for( std::size_t i = 0; i < seg->len; ++i )
         {
             *result_ = fn_( *result_, seg->data[ i ] );
@@ -60,6 +61,7 @@ public:
     }
 
 private:
+    port &in_;
     T *result_;
     F fn_;
 };

@@ -31,22 +31,24 @@ template <class T> struct seq_item
 template <class T> class seq_tag : public kernel
 {
 public:
-    seq_tag() : kernel()
+    seq_tag()
+        : kernel(), in_( input.addPort<T>( "0" ) ),
+          out_( output.addPort<seq_item<T>>( "0" ) )
     {
-        input.addPort<T>( "0" );
-        output.addPort<seq_item<T>>( "0" );
     }
 
     kstatus run() override
     {
-        auto in  = input[ "0" ].template pop_s<T>();
-        auto out = output[ "0" ].template allocate_s<seq_item<T>>();
+        auto in  = in_.pop_s<T>();
+        auto out = out_.allocate_s<seq_item<T>>();
         out->seq   = next_++;
         out->value = *in;
         return raft::proceed;
     }
 
 private:
+    port &in_;
+    port &out_;
     std::uint64_t next_{ 0 };
 };
 
@@ -58,17 +60,17 @@ private:
 template <class T> class reorder : public kernel
 {
 public:
-    reorder() : kernel()
+    reorder()
+        : kernel(), in_( input.addPort<seq_item<T>>( "0" ) ),
+          out_( output.addPort<T>( "0" ) )
     {
-        input.addPort<seq_item<T>>( "0" );
-        output.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
         try
         {
-            auto in = input[ "0" ].template pop_s<seq_item<T>>();
+            auto in = in_.pop_s<seq_item<T>>();
             pending_.emplace( in->seq, in->value );
         }
         catch( const closed_port_exception & )
@@ -76,7 +78,7 @@ public:
             /** upstream done: flush whatever is buffered, in order **/
             for( auto &kv : pending_ )
             {
-                output[ "0" ].push<T>( std::move( kv.second ) );
+                out_.push<T>( std::move( kv.second ) );
             }
             pending_.clear();
             throw;
@@ -84,8 +86,7 @@ public:
         while( !pending_.empty() &&
                pending_.begin()->first == expected_ )
         {
-            output[ "0" ].push<T>(
-                std::move( pending_.begin()->second ) );
+            out_.push<T>( std::move( pending_.begin()->second ) );
             pending_.erase( pending_.begin() );
             ++expected_;
         }
@@ -95,6 +96,8 @@ public:
     std::size_t pending_count() const noexcept { return pending_.size(); }
 
 private:
+    port &in_;
+    port &out_;
     std::uint64_t expected_{ 0 };
     std::map<std::uint64_t, T> pending_;
 };

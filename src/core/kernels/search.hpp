@@ -43,17 +43,16 @@ template <class Algo> class search : public kernel
 {
 public:
     explicit search( std::string pattern )
-        : kernel(), pattern_( std::move( pattern ) ),
+        : kernel(), in_( input.addPort<mem_range>( "0" ) ),
+          out_( output.addPort<match_t>( "0" ) ),
+          pattern_( std::move( pattern ) ),
           matcher_( algo::make_matcher<Algo>( pattern_ ) )
     {
-        input.addPort<mem_range>( "0" );
-        output.addPort<match_t>( "0" );
     }
 
     kstatus run() override
     {
-        auto seg  = input[ "0" ].template pop_s<mem_range>();
-        auto &out = output[ "0" ];
+        auto seg = in_.pop_s<mem_range>();
         matcher_->find(
             seg->data, seg->len,
             [ & ]( const std::size_t pos, const std::uint32_t rule ) {
@@ -61,7 +60,7 @@ public:
                  *  whose body it starts **/
                 if( pos < seg->body_len )
                 {
-                    out.push<match_t>( match_t{ seg->offset + pos, rule } );
+                    out_.push<match_t>( match_t{ seg->offset + pos, rule } );
                 }
             } );
         return raft::proceed;
@@ -77,6 +76,8 @@ public:
     const algo::matcher &engine() const noexcept { return *matcher_; }
 
 private:
+    port &in_;
+    port &out_;
     std::string pattern_;
     std::unique_ptr<algo::matcher> matcher_;
 };

@@ -15,9 +15,9 @@ template <class T> class write_each : public kernel
 {
 public:
     template <class OutIt>
-    explicit write_each( OutIt out ) : kernel()
+    explicit write_each( OutIt out )
+        : kernel(), in_( input.addPort<T>( "0" ) )
     {
-        input.addPort<T>( "0" );
         auto cursor = std::make_shared<OutIt>( out );
         sink_       = [ cursor ]( T &&v ) {
             **cursor = std::move( v );
@@ -31,7 +31,7 @@ public:
 
     kstatus run() override
     {
-        auto w = input[ "0" ].template pop_s<T>( batch );
+        auto w = in_.pop_s<T>( batch );
         for( std::size_t i = 0; i < w.size(); ++i )
         {
             sink_( std::move( w[ i ] ) );
@@ -40,6 +40,7 @@ public:
     }
 
 private:
+    port &in_;
     std::function<void( T && )> sink_;
 };
 

@@ -23,12 +23,12 @@ split_kernel::split_kernel( const detail::type_meta &meta,
                             const std::size_t width,
                             std::unique_ptr<split_strategy> strategy,
                             const std::size_t initial_active )
-    : width_( width ), strategy_( std::move( strategy ) ),
+    : in_( input.add_with_meta( "0", meta ) ), width_( width ),
+      strategy_( std::move( strategy ) ),
       active_( initial_active == 0 || initial_active > width
                    ? width
                    : initial_active )
 {
-    input.add_with_meta( "0", meta );
     for( std::size_t i = 0; i < width_; ++i )
     {
         output.add_with_meta( std::to_string( i ), meta );
@@ -40,9 +40,10 @@ std::vector<fifo_base *> &split_kernel::cached_outputs()
 {
     if( outs_cache_.empty() )
     {
-        for( std::size_t i = 0; i < width_; ++i )
+        /** the lanes "0".."width-1" are the only outputs, in order **/
+        for( auto &p : output )
         {
-            outs_cache_.push_back( &output[ std::to_string( i ) ].raw() );
+            outs_cache_.push_back( &p.raw() );
         }
     }
     return outs_cache_;
@@ -139,7 +140,7 @@ std::size_t split_kernel::route( fifo_base &in,
 
 kstatus split_kernel::run()
 {
-    fifo_base &in = input[ "0" ].raw();
+    fifo_base &in = in_.raw();
     auto &outs    = routable_outputs();
 
     bool all_closed = true;
@@ -181,10 +182,9 @@ kstatus split_kernel::run()
 
 bool split_kernel::ready() const
 {
-    const auto &in = input[ "0" ];
-    if( in.size() == 0 )
+    if( in_.size() == 0 )
     {
-        return in.drained(); /** run() stops **/
+        return in_.drained(); /** run() stops **/
     }
     if( pending_choice_ )
     {
@@ -216,13 +216,12 @@ bool split_kernel::ready() const
 
 reduce_kernel::reduce_kernel( const detail::type_meta &meta,
                               const std::size_t width )
-    : width_( width )
+    : out_( output.add_with_meta( "0", meta ) )
 {
-    for( std::size_t i = 0; i < width_; ++i )
+    for( std::size_t i = 0; i < width; ++i )
     {
         input.add_with_meta( std::to_string( i ), meta );
     }
-    output.add_with_meta( "0", meta );
     set_name( "raft::reduce" );
 }
 
@@ -230,9 +229,10 @@ std::vector<fifo_base *> &reduce_kernel::cached_inputs()
 {
     if( ins_cache_.empty() )
     {
-        for( std::size_t i = 0; i < width_; ++i )
+        /** the lanes "0".."width-1" are the only inputs, in order **/
+        for( auto &p : input )
         {
-            ins_cache_.push_back( &input[ std::to_string( i ) ].raw() );
+            ins_cache_.push_back( &p.raw() );
         }
     }
     return ins_cache_;
@@ -257,7 +257,7 @@ std::size_t reduce_kernel::merge( std::vector<fifo_base *> &ins,
 
 kstatus reduce_kernel::run()
 {
-    fifo_base &out = output[ "0" ].raw();
+    fifo_base &out = out_.raw();
     auto &ins      = cached_inputs();
 
     std::size_t moved = 0;
@@ -305,16 +305,16 @@ bool reduce_kernel::ready() const
 
 convert_kernel::convert_kernel( const detail::type_meta &in_meta,
                                 const detail::type_meta &out_meta )
+    : in_( input.add_with_meta( "0", in_meta ) ),
+      out_( output.add_with_meta( "0", out_meta ) )
 {
-    input.add_with_meta( "0", in_meta );
-    output.add_with_meta( "0", out_meta );
     set_name( "raft::convert(" + in_meta.name + "->" + out_meta.name + ")" );
 }
 
 kstatus convert_kernel::run()
 {
-    fifo_base &in  = input[ "0" ].raw();
-    fifo_base &out = output[ "0" ].raw();
+    fifo_base &in  = in_.raw();
+    fifo_base &out = out_.raw();
     for( std::size_t i = 0; i < adapter_burst; ++i )
     {
         double value = 0.0;

@@ -106,6 +106,7 @@ private:
      *  (prefix [0, active) of the output cache). */
     std::vector<fifo_base *> &routable_outputs();
 
+    port &in_;
     std::size_t width_;
     std::unique_ptr<split_strategy> strategy_;
     std::vector<fifo_base *> outs_cache_;
@@ -142,7 +143,7 @@ protected:
 private:
     std::vector<fifo_base *> &cached_inputs();
 
-    std::size_t width_;
+    port &out_;
     std::size_t scan_{ 0 };
     std::vector<fifo_base *> ins_cache_;
     detail::backoff idle_;
@@ -164,6 +165,8 @@ public:
     kstatus run() override;
 
 private:
+    port &in_;
+    port &out_;
     detail::backoff idle_;
 };
 

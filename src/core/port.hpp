@@ -246,18 +246,20 @@ public:
     ///@}
 
     /**
-     * Typed view of the bound stream; throws type_mismatch_exception when T
-     * differs from the declared element type.
+     * Typed view of the bound stream. Every call checks both that a stream
+     * is bound and that T is the declared element type, in one inline
+     * branch; building the exception's message is left to the cold
+     * throw_bad_access, so the checked path costs a compare, not a stack
+     * frame. Throws port_exception before binding and
+     * type_mismatch_exception on a wrong T.
      */
-    template <class T> ring_buffer<T> &typed()
+    template <class T>
+    [[gnu::always_inline]] ring_buffer<T> &typed()
     {
-        ensure_bound();
-        if( std::type_index( typeid( T ) ) != meta_.index )
+        if( fifo_ == nullptr ||
+            std::type_index( typeid( T ) ) != meta_.index )
         {
-            throw type_mismatch_exception(
-                "port '" + name_ + "' carries " + meta_.name +
-                ", accessed as " +
-                detail::demangle( typeid( T ) ) );
+            throw_bad_access( typeid( T ) );
         }
         return *static_cast<ring_buffer<T> *>( fifo_ );
     }
@@ -273,6 +275,16 @@ private:
         }
     }
 
+    /** typed()'s failure path: unbound first, then the type mismatch */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    throw_bad_access( const std::type_info &asked ) const
+    {
+        ensure_bound();
+        throw type_mismatch_exception( "port '" + name_ + "' carries " +
+                                       meta_.name + ", accessed as " +
+                                       detail::demangle( asked ) );
+    }
+
     std::string name_;
     detail::type_meta meta_;
     port_dir dir_;
@@ -285,10 +297,13 @@ private:
  * members of every kernel. "Port container objects can contain any type of
  * port" (§4) — element types are per-port.
  *
- * Lookup by name is a linear scan: a kernel declares one to four ports, so
- * comparing a few short names beats building a std::string and hashing it
- * on every `input["0"]`. Kernels with many ports (lanes) should resolve
- * them once and keep the `port &` (or iterate the container).
+ * Lookup by name is an inline linear scan: a kernel declares one to four
+ * ports, so comparing a few short names beats building a std::string and
+ * hashing it on every `input["0"]`. A miss goes to the cold throw_no_port,
+ * which alone builds the message. Even so a lookup costs a scan plus
+ * typed()'s check on every access, so the library's own kernels resolve
+ * each port once in their constructor and keep the `port &` (ports live as
+ * long as their kernel; clone() builds fresh ones).
  */
 class port_container
 {
@@ -341,8 +356,7 @@ public:
         {
             return *p;
         }
-        throw port_exception( "no port named '" + std::string( name ) +
-                              "'" );
+        throw_no_port( name );
     }
 
     bool has( const std::string_view name ) const noexcept
@@ -371,6 +385,13 @@ private:
         ports_.push_back( std::make_unique<port>(
             name, detail::type_meta::of<T>(), dir_ ) );
         return *ports_.back();
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    throw_no_port( const std::string_view name )
+    {
+        throw port_exception( "no port named '" + std::string( name ) +
+                              "'" );
     }
 
     const port *find( const std::string_view name ) const noexcept

@@ -75,6 +75,14 @@
  * x86), and the monitor stores the gate seq_cst. Registration happens once
  * per process; the choice is made at construction, per ring.
  *
+ * Each end's side of the handshake is split in two. enter() is always
+ * inline and holds what an operation on an ungated stream runs: the claim
+ * depth check, the static stream's early return, and the light store,
+ * compiler fence and gate load. The raised gate's retries (clear in_op,
+ * yield, announce again) and the whole symmetric seq_cst pair sit out of
+ * line in the noinline enter_slow(). The protocol and its memory orders
+ * are the same on both paths.
+ *
  * Blocking: spin for a batch, then park. A claim whose first attempt
  * fails retries out of line. While it spins, a retry wants a batch:
  * slip = min(cap / 4, 16) free slots (at least 1) for the producer,
@@ -1024,9 +1032,14 @@ private:
     }
     ///@}
 
-    /** @name gate handshake (see file header) */
+    /** @name gate handshake (see file header)
+     * enter() is forced inline and holds what an uncontended operation
+     * runs: the depth check, the static stream's early return and the
+     * light handshake's store, compiler fence and gate load. A raised
+     * gate's retries and the symmetric seq_cst pair live out of line in
+     * enter_slow(). */
     ///@{
-    void enter( end_state &e ) noexcept
+    [[gnu::always_inline]] void enter( end_state &e ) noexcept
     {
         if( e.depth++ > 0 )
         {
@@ -1038,28 +1051,48 @@ private:
         {
             return; /** static stream: no handshake **/
         }
+        if( hs == hs_light )
+        {
+            /** the monitor's heavy barrier supplies the fence **/
+            e.op.store( true, std::memory_order_relaxed );
+            std::atomic_signal_fence( std::memory_order_seq_cst );
+            if( !gate_.load( std::memory_order_acquire ) )
+            {
+                return;
+            }
+        }
+        enter_slow( e, hs );
+    }
+
+    /** The raised gate's retries (step out, yield, announce again) and
+     *  the symmetric pair. A light end arrives here from enter()'s one
+     *  attempt, which found the gate raised with op still set. */
+    [[gnu::noinline]] void enter_slow( end_state &e,
+                                       const std::uint8_t hs ) noexcept
+    {
+        bool raised = hs == hs_light;
         for( ;; )
         {
+            if( raised )
+            {
+                e.op.store( false, std::memory_order_release );
+                std::this_thread::yield();
+            }
             if( hs == hs_light )
             {
-                /** the monitor's heavy barrier supplies the fence **/
                 e.op.store( true, std::memory_order_relaxed );
                 std::atomic_signal_fence( std::memory_order_seq_cst );
-                if( !gate_.load( std::memory_order_acquire ) )
-                {
-                    return;
-                }
+                raised = gate_.load( std::memory_order_acquire );
             }
             else
             {
                 e.op.store( true, std::memory_order_seq_cst );
-                if( !gate_.load( std::memory_order_seq_cst ) )
-                {
-                    return;
-                }
+                raised = gate_.load( std::memory_order_seq_cst );
             }
-            e.op.store( false, std::memory_order_release );
-            std::this_thread::yield();
+            if( !raised )
+            {
+                return;
+            }
         }
     }
 

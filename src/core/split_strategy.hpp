@@ -68,15 +68,22 @@ private:
 };
 
 /**
- * Direct flow to the replica whose queue is least utilized right now.
+ * Direct flow to the replica whose queue holds the least backlog right now.
  *
- * The utilization scan costs two loads per output; re-ranking on every
- * element would make the split adapter's cost grow with the replica count.
- * The choice is therefore cached and reused for `stride` consecutive
- * elements before the next rescan — occupancies move by at most stride
- * elements in between, so the ranking stays near-correct, and the adapter
- * falls back to neighbouring streams anyway when the cached one fills
- * (non-strict routing). stride = 1 restores exact per-element ranking.
+ * Replicas are ranked by occupancy in elements, size(), not by
+ * size() / capacity(): the monitor grows the queue of a replica whose
+ * writer blocks, and a fraction would then make the grown queue look
+ * emptiest and keep winning. The scan starts after the last choice, so
+ * ties (every queue empty at start-up) rotate across the replicas instead
+ * of all going to replica 0.
+ *
+ * The scan costs one load per output; re-ranking on every element would
+ * make the split adapter's cost grow with the replica count. The choice
+ * is therefore cached and reused for `stride` consecutive elements before
+ * the next rescan — occupancies move by at most stride elements in
+ * between, so the ranking stays near-correct, and the adapter falls back
+ * to neighbouring streams anyway when the cached one fills (non-strict
+ * routing). stride = 1 restores exact per-element ranking.
  */
 class least_utilized_strategy final : public split_strategy
 {
@@ -88,23 +95,26 @@ public:
 
     std::size_t choose( const std::vector<fifo_base *> &outputs ) override
     {
-        if( reuse_ > 0 && cached_ < outputs.size() )
+        const auto n = outputs.size();
+        if( n == 0 )
+        {
+            return 0;
+        }
+        if( reuse_ > 0 && cached_ < n )
         {
             --reuse_;
             return cached_;
         }
-        std::size_t best    = 0;
-        double best_util    = 2.0; /** above any real utilization **/
-        for( std::size_t i = 0; i < outputs.size(); ++i )
+        const auto first = ( cached_ + 1 ) % n;
+        std::size_t best = first;
+        auto best_size   = outputs[ first ]->size();
+        for( std::size_t k = 1; k < n; ++k )
         {
-            const auto cap = outputs[ i ]->capacity();
-            const auto util =
-                cap == 0 ? 1.0
-                         : static_cast<double>( outputs[ i ]->size() ) /
-                               static_cast<double>( cap );
-            if( util < best_util )
+            const auto i  = ( first + k ) % n;
+            const auto sz = outputs[ i ]->size();
+            if( sz < best_size )
             {
-                best_util = util;
+                best_size = sz;
                 best      = i;
             }
         }

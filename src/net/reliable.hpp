@@ -62,17 +62,16 @@ public:
     reliable_tcp_sink( std::string host, const std::uint16_t port,
                        connect_options copts = connect_options::retry( 8 ),
                        std::string link_name = "reliable" )
-        : kernel(), host_( std::move( host ) ), port_( port ),
-          copts_( copts ), name_( std::move( link_name ) )
+        : kernel(), in_( input.addPort<T>( "0" ) ), host_( std::move( host ) ),
+          port_( port ), copts_( copts ), name_( std::move( link_name ) )
     {
-        input.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
         try
         {
-            auto w = input[ "0" ].template pop_s<T>( wire_batch );
+            auto w = in_.pop_s<T>( wire_batch );
             for( std::size_t i = 0; i < w.size(); ++i )
             {
                 replay_.push_back( entry{
@@ -293,6 +292,7 @@ private:
         }
     }
 
+    port &in_;
     std::string host_;
     std::uint16_t port_;
     connect_options copts_;
@@ -321,9 +321,8 @@ public:
     static constexpr std::uint64_t ack_interval = 32;
 
     explicit reliable_tcp_source( const std::uint16_t port = 0 )
-        : kernel(), listener_( port )
+        : kernel(), out_( output.addPort<T>( "0" ) ), listener_( port )
     {
-        output.addPort<T>( "0" );
     }
 
     /** The bound port (give this to the sink). */
@@ -448,7 +447,7 @@ private:
             T v;
             std::memcpy( &v, rx_.data() + off + 1 + sizeof( seq ),
                          sizeof( T ) );
-            output[ "0" ].push( v, decode_signal( rx_[ off ] ) );
+            out_.push( v, decode_signal( rx_[ off ] ) );
             ++expected_;
             ++since_ack_;
             off += data_frame;
@@ -457,6 +456,7 @@ private:
                    rx_.begin() + static_cast<std::ptrdiff_t>( off ) );
     }
 
+    raft::port &out_;
     tcp_listener listener_;
     tcp_connection conn_;
     std::vector<std::uint8_t> rx_;

@@ -222,9 +222,8 @@ template <class T> class shm_sink : public kernel
 {
 public:
     explicit shm_sink( std::shared_ptr<shm_ring<T>> ring )
-        : kernel(), ring_( std::move( ring ) )
+        : kernel(), in_( input.addPort<T>( "0" ) ), ring_( std::move( ring ) )
     {
-        input.addPort<T>( "0" );
     }
 
     kstatus run() override
@@ -233,7 +232,7 @@ public:
         signal sig = none;
         try
         {
-            input[ "0" ].pop<T>( value, &sig );
+            in_.pop<T>( value, &sig );
         }
         catch( const closed_port_exception & )
         {
@@ -245,6 +244,7 @@ public:
     }
 
 private:
+    port &in_;
     std::shared_ptr<shm_ring<T>> ring_;
 };
 
@@ -253,9 +253,9 @@ template <class T> class shm_source : public kernel
 {
 public:
     explicit shm_source( std::shared_ptr<shm_ring<T>> ring )
-        : kernel(), ring_( std::move( ring ) )
+        : kernel(), out_( output.addPort<T>( "0" ) ),
+          ring_( std::move( ring ) )
     {
-        output.addPort<T>( "0" );
     }
 
     kstatus run() override
@@ -270,11 +270,12 @@ public:
         {
             return raft::stop;
         }
-        output[ "0" ].push<T>( std::move( value ), sig );
+        out_.push<T>( std::move( value ), sig );
         return raft::proceed;
     }
 
 private:
+    port &out_;
     std::shared_ptr<shm_ring<T>> ring_;
 };
 

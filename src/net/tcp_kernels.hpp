@@ -44,9 +44,8 @@ public:
     static constexpr std::size_t wire_batch = 64;
 
     explicit tcp_sink( tcp_connection conn )
-        : kernel(), conn_( std::move( conn ) )
+        : kernel(), in_( input.addPort<T>( "0" ) ), conn_( std::move( conn ) )
     {
-        input.addPort<T>( "0" );
         wire_.reserve( wire_batch * ( 1 + sizeof( T ) ) );
     }
 
@@ -55,7 +54,7 @@ public:
         wire_.clear();
         try
         {
-            auto w = input[ "0" ].template pop_s<T>( wire_batch );
+            auto w = in_.pop_s<T>( wire_batch );
             for( std::size_t i = 0; i < w.size(); ++i )
             {
                 append_scalar_frame(
@@ -75,6 +74,7 @@ public:
     }
 
 private:
+    port &in_;
     tcp_connection conn_;
     std::vector<std::uint8_t> wire_;
 };
@@ -93,9 +93,9 @@ public:
     static constexpr std::size_t wire_batch = 64;
 
     explicit tcp_source( tcp_connection conn )
-        : kernel(), conn_( std::move( conn ) )
+        : kernel(), out_( output.addPort<T>( "0" ) ),
+          conn_( std::move( conn ) )
     {
-        output.addPort<T>( "0" );
         rx_.reserve( wire_batch * ( 1 + sizeof( T ) ) );
     }
 
@@ -122,7 +122,7 @@ public:
         std::size_t emitted = 0;
         while( emitted < scan.frames )
         {
-            auto w = output[ "0" ].template allocate_range<T>(
+            auto w = out_.allocate_range<T>(
                 scan.frames - emitted );
             std::size_t i = 0;
             try
@@ -155,6 +155,7 @@ public:
     }
 
 private:
+    port &out_;
     tcp_connection conn_;
     std::vector<std::uint8_t> rx_;
     bool eof_{ false };
@@ -179,10 +180,9 @@ template <class T> class tcp_sink_compressed : public kernel
 public:
     explicit tcp_sink_compressed( tcp_connection conn,
                                   const std::size_t batch = 256 )
-        : kernel(), conn_( std::move( conn ) ),
-          batch_( batch == 0 ? 1 : batch )
+        : kernel(), in_( input.addPort<T>( "0" ) ),
+          conn_( std::move( conn ) ), batch_( batch == 0 ? 1 : batch )
     {
-        input.addPort<T>( "0" );
         values_.reserve( batch_ );
         sigs_.reserve( batch_ );
     }
@@ -192,7 +192,7 @@ public:
         try
         {
             /** drain a whole window per handshake instead of one pop **/
-            auto w = input[ "0" ].template pop_s<T>(
+            auto w = in_.pop_s<T>(
                 batch_ - values_.size() );
             for( std::size_t i = 0; i < w.size(); ++i )
             {
@@ -241,6 +241,7 @@ private:
         sigs_.clear();
     }
 
+    port &in_;
     tcp_connection conn_;
     std::size_t batch_;
     std::vector<T> values_;
@@ -255,9 +256,9 @@ template <class T> class tcp_source_compressed : public kernel
 
 public:
     explicit tcp_source_compressed( tcp_connection conn )
-        : kernel(), conn_( std::move( conn ) )
+        : kernel(), out_( output.addPort<T>( "0" ) ),
+          conn_( std::move( conn ) )
     {
-        output.addPort<T>( "0" );
     }
 
     kstatus run() override
@@ -287,7 +288,7 @@ public:
         while( emitted < n )
         {
             auto w =
-                output[ "0" ].template allocate_range<T>( n - emitted );
+                out_.allocate_range<T>( n - emitted );
             std::size_t i = 0;
             try
             {
@@ -311,6 +312,7 @@ public:
     }
 
 private:
+    port &out_;
     tcp_connection conn_;
 };
 

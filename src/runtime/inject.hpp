@@ -126,27 +126,29 @@ inline bool should_kill( const char *site, const std::string &detail )
 template <class T> class poison : public kernel
 {
 public:
-    explicit poison( const std::uint64_t nth ) : kernel(), nth_( nth )
+    explicit poison( const std::uint64_t nth )
+        : kernel(), in_( input.addPort<T>( "0" ) ),
+          out_( output.addPort<T>( "0" ) ), nth_( nth )
     {
-        input.addPort<T>( "0" );
-        output.addPort<T>( "0" );
     }
 
     kstatus run() override
     {
         signal s{ none };
         T v;
-        input[ "0" ].pop( v, &s );
+        in_.pop( v, &s );
         if( nth_ != 0 && ++seen_ >= nth_ )
         {
-            output[ "0" ].raw().abort();
+            out_.raw().abort();
             return raft::stop;
         }
-        output[ "0" ].push( v, s );
+        out_.push( v, s );
         return raft::proceed;
     }
 
 private:
+    port &in_;
+    port &out_;
     std::uint64_t nth_;
     std::uint64_t seen_{ 0 };
 };

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include <algo/corpus.hpp>
 #include <raft.hpp>
 
 namespace {
@@ -49,6 +52,80 @@ raft::run_options replicated_opts( const std::size_t width,
     o.replication_width    = width;
     o.split_strategy       = strat;
     return o;
+}
+
+/** The Fig. 10 graph's input cut finer: 24 MiB in 4 KiB segments. Short
+ *  segments keep the replicas' queues near empty, which is where ties in
+ *  the split's ranking decide who gets the next burst. */
+constexpr std::size_t spread_corpus  = 24u << 20;
+constexpr std::size_t spread_segment = 4096;
+
+/**
+ * filereader → search<ahocorasick> × 4 → write_each with the default
+ * least-utilized split. Returns how many segments each replica popped,
+ * read from the run report.
+ */
+std::vector<std::uint64_t>
+segments_per_replica( const raft::scheduler_kind sched )
+{
+    raft::algo::corpus_options copt;
+    copt.size_bytes = spread_corpus;
+    copt.seed       = 10;
+    copt.pattern    = "streamkernel";
+    static const auto corpus = std::make_shared<const std::string>(
+        raft::algo::make_corpus( copt ) );
+
+    std::vector<raft::match_t> hits;
+    raft::map m;
+    auto p = m.link<raft::out>(
+        raft::kernel::make<raft::filereader>(
+            corpus, copt.pattern.size() - 1, spread_segment ),
+        raft::kernel::make<raft::search<raft::ahocorasick>>(
+            copt.pattern ) );
+    m.link<raft::out>( &( p.dst ),
+                       raft::kernel::make<raft::write_each<raft::match_t>>(
+                           std::back_inserter( hits ) ) );
+    raft::runtime::perf_snapshot snap;
+    auto o      = replicated_opts( 4, raft::split_kind::least_utilized );
+    o.scheduler = sched;
+    o.stats_out = &snap;
+    m.exe( o );
+
+    EXPECT_EQ( hits.size(),
+               raft::algo::oracle_count( *corpus, copt.pattern ) );
+    std::vector<std::uint64_t> popped;
+    for( const auto &st : snap.streams )
+    {
+        if( st.src_kernel.find( "raft::split" ) != std::string::npos )
+        {
+            popped.push_back( st.popped );
+        }
+    }
+    return popped;
+}
+
+/** An even deal gives each of the 4 replicas a quarter. No replica may
+ *  take more than half, and none may starve: each gets at least a
+ *  quarter of its fair share. A split that breaks every tie toward
+ *  replica 0 fed two replicas and left two with nothing. */
+void expect_spread( const std::vector<std::uint64_t> &popped )
+{
+    ASSERT_EQ( popped.size(), 4u );
+    std::uint64_t total = 0;
+    for( const auto n : popped )
+    {
+        total += n;
+    }
+    EXPECT_EQ( total, spread_corpus / spread_segment );
+    for( std::size_t i = 0; i < popped.size(); ++i )
+    {
+        EXPECT_LE( 2 * popped[ i ], total )
+            << "replica " << i << " popped " << popped[ i ] << " of "
+            << total << " segments";
+        EXPECT_GE( 16 * popped[ i ], total )
+            << "replica " << i << " popped " << popped[ i ] << " of "
+            << total << " segments";
+    }
 }
 
 } /** end anonymous namespace **/
@@ -288,6 +365,17 @@ TEST( split_strategy, least_utilized_cached_choice_survives_lane_shrink )
     std::vector<raft::fifo_base *> shrunk{ &a, &b };
     const auto pick = lu.choose( shrunk );
     EXPECT_LT( pick, shrunk.size() );
+}
+
+TEST( split_strategy, least_utilized_spreads_segments_on_threads )
+{
+    expect_spread(
+        segments_per_replica( raft::scheduler_kind::thread_per_kernel ) );
+}
+
+TEST( split_strategy, least_utilized_spreads_segments_on_the_pool )
+{
+    expect_spread( segments_per_replica( raft::scheduler_kind::pool ) );
 }
 
 TEST( split_strategy, factory_maps_kinds )

@@ -5,6 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <core/kernel.hpp>
 #include <core/ringbuffer.hpp>
 
@@ -20,6 +25,58 @@ public:
     }
     raft::kstatus run() override { return raft::stop; }
 };
+
+using accessor = std::pair<const char *, std::function<void( raft::port & )>>;
+
+/** Every typed accessor of a port, each called with element type T. */
+template <class T> std::vector<accessor> typed_accessors()
+{
+    return {
+        { "push(const T &)",
+          []( raft::port &p ) {
+              const T v{};
+              p.push<T>( v );
+          } },
+        { "push(T &&)", []( raft::port &p ) { p.push<T>( T{} ); } },
+        { "pop()", []( raft::port &p ) { (void)p.pop<T>(); } },
+        { "pop(T &)",
+          []( raft::port &p ) {
+              T v{};
+              p.pop<T>( v );
+          } },
+        { "pop_s()", []( raft::port &p ) { (void)p.pop_s<T>(); } },
+        { "peek", []( raft::port &p ) { (void)p.peek<T>(); } },
+        { "allocate_s", []( raft::port &p ) { (void)p.allocate_s<T>(); } },
+        { "allocate_range",
+          []( raft::port &p ) { (void)p.allocate_range<T>( 2 ); } },
+        { "pop_s(n)", []( raft::port &p ) { (void)p.pop_s<T>( 2 ); } },
+        { "push_n",
+          []( raft::port &p ) {
+              T buf[ 2 ]{};
+              p.push_n<T>( buf, 2 );
+          } },
+        { "pop_n",
+          []( raft::port &p ) {
+              T buf[ 2 ]{};
+              (void)p.pop_n<T>( buf, 2 );
+          } },
+        { "try_push_n",
+          []( raft::port &p ) {
+              T buf[ 2 ]{};
+              (void)p.try_push_n<T>( buf, 2 );
+          } },
+        { "try_pop_n",
+          []( raft::port &p ) {
+              T buf[ 2 ]{};
+              (void)p.try_pop_n<T>( buf, 2 );
+          } },
+    };
+}
+
+bool contains( const std::string &what, const std::string &part )
+{
+    return what.find( part ) != std::string::npos;
+}
 
 } /** end anonymous namespace **/
 
@@ -43,6 +100,20 @@ TEST( port_container, unknown_name_throws )
 {
     two_in_one_out k;
     EXPECT_THROW( k.input[ "zzz" ], raft::port_exception );
+}
+
+TEST( port_container, unknown_name_is_named_in_the_exception )
+{
+    two_in_one_out k;
+    try
+    {
+        (void)k.output[ "zzz" ];
+        FAIL() << "lookup of an undeclared port did not throw";
+    }
+    catch( const raft::port_exception &e )
+    {
+        EXPECT_TRUE( contains( e.what(), "'zzz'" ) ) << e.what();
+    }
 }
 
 TEST( port_container, iteration_in_declaration_order )
@@ -74,6 +145,63 @@ TEST( port, type_mismatch_throws )
     EXPECT_THROW( k.input[ "a" ].pop<double>(),
                   raft::type_mismatch_exception );
     EXPECT_EQ( k.input[ "a" ].pop<int>(), 3 );
+}
+
+TEST( port, every_typed_accessor_rejects_a_wrong_type )
+{
+    two_in_one_out k;
+    raft::ring_buffer<int> q( 4 );
+    auto &p = k.input[ "a" ];
+    p.bind( &q );
+    q.push( 7 );
+    q.push( 8 );
+    for( auto &[ name, call ] : typed_accessors<double>() )
+    {
+        try
+        {
+            call( p );
+            ADD_FAILURE() << name << " as double did not throw";
+        }
+        catch( const raft::type_mismatch_exception &e )
+        {
+            EXPECT_TRUE( contains( e.what(), "'a'" ) ) << name;
+            EXPECT_TRUE( contains( e.what(), "int" ) ) << name;
+            EXPECT_TRUE( contains( e.what(), "double" ) ) << name;
+        }
+        EXPECT_EQ( q.size(), 2u ) << name;
+    }
+    /** the queue, and both of its ends, work as before **/
+    p.push<int>( 9 );
+    EXPECT_EQ( p.pop<int>(), 7 );
+    EXPECT_EQ( p.pop<int>(), 8 );
+    EXPECT_EQ( p.pop<int>(), 9 );
+    EXPECT_EQ( q.size(), 0u );
+}
+
+TEST( port, every_typed_accessor_rejects_an_unbound_port )
+{
+    two_in_one_out k;
+    auto &p = k.input[ "b" ];
+    /** unbound is reported first, whatever the type asked for **/
+    auto calls = typed_accessors<int>();
+    for( auto &c : typed_accessors<double>() )
+    {
+        calls.push_back( c );
+    }
+    for( auto &[ name, call ] : calls )
+    {
+        try
+        {
+            call( p );
+            ADD_FAILURE() << name << " on an unbound port did not throw";
+        }
+        catch( const raft::port_exception &e )
+        {
+            EXPECT_TRUE( contains( e.what(), "'b'" ) ) << name;
+            EXPECT_TRUE( contains( e.what(), "bound" ) ) << name;
+        }
+    }
+    EXPECT_FALSE( p.bound() );
 }
 
 TEST( port, occupancy_views_through_binding )
