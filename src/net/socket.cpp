@@ -1,9 +1,7 @@
 #include "net/socket.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -77,50 +75,6 @@ tcp_connection tcp_connection::connect( const std::string &host,
     return tcp_connection( fd );
 }
 
-tcp_connection tcp_connection::connect( const std::string &host,
-                                        const std::uint16_t port,
-                                        const connect_options &opts )
-{
-    const auto attempts = std::max<std::size_t>( 1, opts.max_attempts );
-    auto delay          = opts.initial_backoff;
-    auto jitter_state   = opts.jitter_seed;
-    for( std::size_t a = 1;; ++a )
-    {
-        try
-        {
-            return connect( host, port );
-        }
-        catch( const raft::net_exception & )
-        {
-            if( a >= attempts )
-            {
-                throw;
-            }
-        }
-        /** exponential backoff with deterministic multiplicative jitter:
-         *  scale by [1-j, 1+j] drawn from a seeded splitmix64 stream **/
-        auto sleep_ns = static_cast<double>( delay.count() );
-        if( opts.jitter > 0.0 )
-        {
-            jitter_state += 0x9e3779b97f4a7c15ull;
-            auto z = jitter_state;
-            z      = ( z ^ ( z >> 30 ) ) * 0xbf58476d1ce4e5b9ull;
-            z      = ( z ^ ( z >> 27 ) ) * 0x94d049bb133111ebull;
-            z ^= z >> 31;
-            const auto u =
-                static_cast<double>( z >> 11 ) * 0x1.0p-53; /** [0,1) **/
-            sleep_ns *= 1.0 + opts.jitter * ( 2.0 * u - 1.0 );
-        }
-        std::this_thread::sleep_for( std::chrono::nanoseconds(
-            static_cast<std::int64_t>( std::max( 0.0, sleep_ns ) ) ) );
-        const auto next = static_cast<double>( delay.count() ) *
-                          opts.backoff_multiplier;
-        delay = std::chrono::nanoseconds( std::min(
-            static_cast<std::int64_t>( next ),
-            static_cast<std::int64_t>( opts.max_backoff.count() ) ) );
-    }
-}
-
 void tcp_connection::send_all( const void *data, const std::size_t n )
 {
     if( raft::runtime::inject::enabled() )
@@ -186,44 +140,13 @@ std::size_t tcp_connection::recv_some( void *data, const std::size_t n )
     }
 }
 
-std::ptrdiff_t tcp_connection::recv_nowait( void *data,
-                                            const std::size_t n )
-{
-    for( ;; )
-    {
-        const auto k = ::recv( fd_, data, n, MSG_DONTWAIT );
-        if( k == 0 )
-        {
-            return -1; /** clean EOF **/
-        }
-        if( k < 0 )
-        {
-            if( errno == EINTR )
-            {
-                continue;
-            }
-            if( errno == EAGAIN || errno == EWOULDBLOCK )
-            {
-                return 0; /** nothing buffered yet **/
-            }
-            throw_errno( "recv" );
-        }
-        if( telemetry::metrics_on() )
-        {
-            telemetry::net_bytes_received_total().add(
-                static_cast<std::uint64_t>( k ) );
-        }
-        return k;
-    }
-}
-
 bool tcp_connection::recv_all( void *data, const std::size_t n )
 {
     auto *p         = static_cast<char *>( data );
     std::size_t off = 0;
     while( off < n )
     {
-        const auto k = ::recv( fd_, p + off, n - off, 0 );
+        const auto k = recv_some( p + off, n - off );
         if( k == 0 )
         {
             if( off == 0 )
@@ -232,19 +155,7 @@ bool tcp_connection::recv_all( void *data, const std::size_t n )
             }
             throw raft::net_exception( "peer closed mid-message" );
         }
-        if( k < 0 )
-        {
-            if( errno == EINTR )
-            {
-                continue;
-            }
-            throw_errno( "recv" );
-        }
-        off += static_cast<std::size_t>( k );
-    }
-    if( telemetry::metrics_on() && n != 0 )
-    {
-        telemetry::net_bytes_received_total().add( n );
+        off += k;
     }
     return true;
 }

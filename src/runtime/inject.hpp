@@ -3,12 +3,14 @@
  *
  * Testing a fault-tolerant runtime requires faults on demand. This harness
  * arms *plans* against named instrumentation sites compiled into the
- * runtime ("kernel.run" once per scheduler dispatch, "net.send"/"net.recv"
- * in the socket layer, "net.link" in the reliable TCP kernels); when an
- * armed plan matches a site hit, it fires: throw an injected_fault from a
- * kernel's run(), delay an I/O call, or kill a live TCP link (::shutdown
- * on the fd, so the very next real syscall fails and the peer observes
- * EOF — the failure propagates exactly like a genuine network partition).
+ * runtime ("kernel.run" once per scheduler dispatch, "net.send" once per
+ * tcp_connection::send_all, "net.recv" once per recv(2) it makes); when
+ * an armed plan matches a site hit, it fires: throw an injected_fault
+ * from a kernel's run(), delay an I/O call, or kill a live TCP link
+ * (::shutdown on the fd, so the very next real syscall fails and the peer
+ * observes EOF before the end-of-stream frame — both ends throw
+ * net_exception and fail their graphs, exactly like a genuine network
+ * partition).
  * Streams can additionally be poisoned at the Nth element with the
  * inject::poison pass-through kernel.
  *

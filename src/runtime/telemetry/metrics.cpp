@@ -442,38 +442,6 @@ counter &net_bytes_received_total()
     return c;
 }
 
-counter &net_frames_total()
-{
-    static counter &c = global_counter(
-        "raft_net_frames_total",
-        "framed messages sent by reliable TCP links" );
-    return c;
-}
-
-counter &net_reconnects_total()
-{
-    static counter &c = global_counter(
-        "raft_net_reconnects_total",
-        "reconnect handshakes completed by reliable TCP links" );
-    return c;
-}
-
-counter &net_replayed_frames_total()
-{
-    static counter &c = global_counter(
-        "raft_net_replayed_frames_total",
-        "frames replayed by reliable TCP sinks after reconnect" );
-    return c;
-}
-
-counter &net_duplicate_frames_total()
-{
-    static counter &c = global_counter(
-        "raft_net_duplicate_frames_total",
-        "duplicate frames discarded by reliable TCP sources" );
-    return c;
-}
-
 counter &fifo_resizes_total()
 {
     static counter &c = global_counter(

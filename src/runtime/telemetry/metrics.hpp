@@ -221,10 +221,6 @@ private:
  * stable reference valid for the process lifetime. **/
 counter &net_bytes_sent_total();
 counter &net_bytes_received_total();
-counter &net_frames_total();
-counter &net_reconnects_total();
-counter &net_replayed_frames_total();
-counter &net_duplicate_frames_total();
 counter &fifo_resizes_total();
 counter &predictive_resizes_total();
 counter &elastic_grows_total();
