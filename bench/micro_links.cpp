@@ -181,11 +181,17 @@ void bm_tcp_u64_compressed( benchmark::State &s )
     bm_tcp_link<true>( s );
 }
 
-BENCHMARK( bm_heap_u64 )->Unit( benchmark::kMillisecond );
-BENCHMARK( bm_heap_cacheline )->Unit( benchmark::kMillisecond );
-BENCHMARK( bm_shm_u64 )->Unit( benchmark::kMillisecond );
-BENCHMARK( bm_shm_cacheline )->Unit( benchmark::kMillisecond );
-/** wall clock: the work runs on the maps' threads, not the caller's **/
+/** wall clock throughout: the producer (heap, shm) and the maps (TCP)
+ *  run on threads other than the caller's, whose CPU time would leave
+ *  them out **/
+BENCHMARK( bm_heap_u64 )->Unit( benchmark::kMillisecond )->UseRealTime();
+BENCHMARK( bm_heap_cacheline )
+    ->Unit( benchmark::kMillisecond )
+    ->UseRealTime();
+BENCHMARK( bm_shm_u64 )->Unit( benchmark::kMillisecond )->UseRealTime();
+BENCHMARK( bm_shm_cacheline )
+    ->Unit( benchmark::kMillisecond )
+    ->UseRealTime();
 BENCHMARK( bm_tcp_u64 )->Unit( benchmark::kMillisecond )->UseRealTime();
 BENCHMARK( bm_tcp_u64_compressed )
     ->Unit( benchmark::kMillisecond )

@@ -11,6 +11,7 @@
 
 #include "core/defs.hpp"
 #include "core/exceptions.hpp"
+#include "core/parallel.hpp"
 #include "runtime/inject.hpp"
 #include "runtime/supervisor.hpp"
 #include "runtime/telemetry/metrics.hpp"
@@ -34,15 +35,22 @@ struct slot
     {
         idle,
         running,
-        done
+        done,
+        fused
     };
 
     kernel *k{ nullptr };
     /** restart deadline (steady ns) armed by a supervised restart, 0 when
      *  none; touched only by the thread that holds the kernel **/
     std::int64_t retry_at{ 0 };
-    /** pool claim: idle, running or done **/
+    /** pool claim: idle, running or done; fused for a reduce adapter,
+     *  which is dispatched only inside its consumer's slot **/
     std::atomic<int> state{ idle };
+    /** pool: the reduce adapters feeding this kernel, dispatched before
+     *  it in the same claim **/
+    std::vector<slot *> feeders;
+    /** pool: the kernel is done; touched only by the claiming worker **/
+    bool finished{ false };
 };
 
 enum class outcome
@@ -361,6 +369,36 @@ outcome dispatch( slot &s, exec_context &ctx, const bool while_ready )
     return result;
 }
 
+/** Pool only: mark each reduce adapter fused and list it among the
+ *  feeders of the kernel that reads its output. A reduce read by another
+ *  reduce keeps its own slot. */
+void fuse_reduces( std::vector<slot> &slots )
+{
+    for( auto &r : slots )
+    {
+        if( dynamic_cast<reduce_kernel *>( r.k ) == nullptr )
+        {
+            continue;
+        }
+        const fifo_base *const out = &r.k->output[ "0" ].raw();
+        for( auto &c : slots )
+        {
+            if( dynamic_cast<reduce_kernel *>( c.k ) != nullptr )
+            {
+                continue;
+            }
+            for( auto &in : c.k->input )
+            {
+                if( in.bound() && &in.raw() == out )
+                {
+                    r.state.store( slot::fused, std::memory_order_relaxed );
+                    c.feeders.push_back( &r );
+                }
+            }
+        }
+    }
+}
+
 } /** end anonymous namespace **/
 
 /* ------------------------------------------------------------------ */
@@ -420,6 +458,17 @@ void thread_scheduler::execute( const std::vector<kernel *> &kernels,
  * not an option: ready() (kernel.hpp) guarantees no run() in it blocks.
  * A kernel waiting out a restart deadline is skipped until then.
  *
+ * A reduce adapter gets no slot of its own: it is fused into the slot of
+ * the kernel that reads its output, and that slot's claim dispatches the
+ * reduce first (while ready(), the same budget) and then the consumer. The
+ * merged elements are read on the core that wrote them, instead of each
+ * crossing cores once into the reduce and once out of it. A kernel fed by
+ * several reduces runs them all, in slot order, before itself. The slot is
+ * done only when every kernel in it is; each keeps its own restart
+ * deadline, cancellation check and telemetry bill. The thread scheduler
+ * keeps one thread per reduce: there a consumer's run() may block, and it
+ * would starve a reduce fused into it.
+ *
  * Idle workers park. After 64 sweeps in a row without progress (one CPU
  * pause each), a worker runs the parker half of an asymmetric Dekker
  * handshake, the ring's park in shape (ringbuffer.hpp): read the epoch,
@@ -447,8 +496,9 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
     const std::size_t n        = kernels.size();
     std::atomic<std::size_t> done_count{ 0 };
     exec_context ctx( kernels, sup_ );
+    fuse_reduces( ctx.slots );
 
-    /** one pass over the kernels; true when a dispatch made progress.
+    /** one pass over the slots; true when a dispatch made progress.
      *  Lowers `next_retry` to the earliest restart deadline it skipped. **/
     auto sweep = [ & ]( std::int64_t &next_retry ) {
         bool progressed = false;
@@ -460,19 +510,42 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
             {
                 continue;
             }
-            const auto r = dispatch( s, ctx, true );
-            if( r == outcome::waiting )
+            bool ran = false, last = false, all_done = true;
+            /** the feeders first, then the slot's own kernel **/
+            auto step = [ & ]( slot &m ) {
+                if( m.finished )
+                {
+                    return;
+                }
+                const auto r = dispatch( m, ctx, true );
+                if( r == outcome::waiting )
+                {
+                    next_retry = std::min( next_retry, m.retry_at );
+                }
+                ran = ran || r == outcome::ran || r == outcome::done;
+                if( r != outcome::done )
+                {
+                    all_done = false;
+                    return;
+                }
+                m.finished = true;
+                if( done_count.fetch_add( 1, std::memory_order_acq_rel ) ==
+                    n - 1 )
+                {
+                    last = true;
+                }
+            };
+            for( auto *f : s.feeders )
             {
-                next_retry = std::min( next_retry, s.retry_at );
+                step( *f );
             }
-            s.state.store( r == outcome::done ? slot::done : slot::idle,
+            step( s );
+            s.state.store( all_done ? slot::done : slot::idle,
                            std::memory_order_release );
-            if( r == outcome::ran || r == outcome::done )
+            if( ran )
             {
                 progressed = true;
-                if( r == outcome::done &&
-                    done_count.fetch_add( 1, std::memory_order_acq_rel ) ==
-                        n - 1 )
+                if( last )
                 {
                     ctx.wake( true );
                 }

@@ -16,8 +16,10 @@
  *    closed_port_exception, which the scheduler treats as completion.
  *  - pool_scheduler: cooperative worker pool — N workers sweep the kernel
  *    set and dispatch each ready kernel, which keeps its worker while
- *    ready() holds. A worker whose sweeps find nothing to run parks until
- *    another dispatch makes progress. A research alternative
+ *    ready() holds. A reduce adapter is dispatched inside the claim of
+ *    the kernel that reads its output, just before it. A worker whose
+ *    sweeps find nothing to run parks until another dispatch makes
+ *    progress. A research alternative
  *    ("straightforward to substitute with new algorithms").
  *
  * When a kernel completes, the scheduler closes its output streams for

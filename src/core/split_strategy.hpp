@@ -77,18 +77,18 @@ private:
  * ties (every queue empty at start-up) rotate across the replicas instead
  * of all going to replica 0.
  *
- * The scan costs one load per output; re-ranking on every element would
- * make the split adapter's cost grow with the replica count. The choice
- * is therefore cached and reused for `stride` consecutive elements before
- * the next rescan — occupancies move by at most stride elements in
- * between, so the ranking stays near-correct, and the adapter falls back
- * to neighbouring streams anyway when the cached one fills (non-strict
- * routing). stride = 1 restores exact per-element ranking.
+ * The scan costs one load per output. The split adapter calls choose()
+ * once per burst of up to 64 elements (parallel.cpp), not per element,
+ * so by default every burst is ranked afresh. A choice reused across
+ * bursts keeps feeding one replica while another has room, since the
+ * split moves to a neighbour only when the chosen ring is full, and a
+ * large ring (or one the monitor grew) may never fill. `stride` > 1
+ * reuses a choice for that many calls.
  */
 class least_utilized_strategy final : public split_strategy
 {
 public:
-    explicit least_utilized_strategy( const std::size_t stride = 16 )
+    explicit least_utilized_strategy( const std::size_t stride = 1 )
         : stride_( stride == 0 ? 1 : stride )
     {
     }

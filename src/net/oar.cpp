@@ -27,7 +27,7 @@ void oar_node::connect_to( const std::string &host,
 {
     auto conn = tcp_connection::connect( host, port );
     const std::lock_guard<std::mutex> lock( mutex_ );
-    links_.push_back( std::move( conn ) );
+    links_.push_back( link{ std::move( conn ) } );
     const auto index = links_.size() - 1;
     receivers_.emplace_back(
         [ this, index ]() { receive_loop( index ); } );
@@ -76,14 +76,9 @@ void oar_node::stop()
     {
         return;
     }
+    /** no link joins once the accept thread is gone, and none is written
+     *  to once the heartbeat is **/
     listener_.close();
-    {
-        const std::lock_guard<std::mutex> lock( mutex_ );
-        for( auto &l : links_ )
-        {
-            l.close();
-        }
-    }
     if( accept_thread_.joinable() )
     {
         accept_thread_.join();
@@ -92,9 +87,15 @@ void oar_node::stop()
     {
         heartbeat_thread_.join();
     }
+    /** shut each link down while its fd stays open, so a receiver blocked
+     *  in recv on it wakes and returns; close the fds only after that **/
     std::vector<std::thread> receivers;
     {
         const std::lock_guard<std::mutex> lock( mutex_ );
+        for( auto &l : links_ )
+        {
+            l.conn.kill();
+        }
         receivers = std::move( receivers_ );
     }
     for( auto &r : receivers )
@@ -103,6 +104,11 @@ void oar_node::stop()
         {
             r.join();
         }
+    }
+    const std::lock_guard<std::mutex> lock( mutex_ );
+    for( auto &l : links_ )
+    {
+        l.conn.close();
     }
 }
 
@@ -122,7 +128,7 @@ void oar_node::accept_loop()
         {
             auto conn = listener_.accept();
             const std::lock_guard<std::mutex> lock( mutex_ );
-            links_.push_back( std::move( conn ) );
+            links_.push_back( link{ std::move( conn ) } );
             const auto index = links_.size() - 1;
             receivers_.emplace_back(
                 [ this, index ]() { receive_loop( index ); } );
@@ -141,12 +147,12 @@ void oar_node::receive_loop( const std::size_t link_index )
         node_status incoming{};
         try
         {
-            tcp_connection *link;
+            tcp_connection *conn;
             {
                 const std::lock_guard<std::mutex> lock( mutex_ );
-                link = &links_[ link_index ];
+                conn = &links_[ link_index ].conn;
             }
-            if( !link->recv_all( &incoming, sizeof( incoming ) ) )
+            if( !conn->recv_all( &incoming, sizeof( incoming ) ) )
             {
                 return; /** peer done **/
             }
@@ -171,19 +177,21 @@ void oar_node::heartbeat_loop()
         const auto status = self_status();
         {
             const std::lock_guard<std::mutex> lock( mutex_ );
-            for( auto &link : links_ )
+            for( auto &l : links_ )
             {
-                if( !link.valid() )
+                if( !l.up )
                 {
                     continue;
                 }
                 try
                 {
-                    link.send_all( &status, sizeof( status ) );
+                    l.conn.send_all( &status, sizeof( status ) );
                 }
                 catch( const raft::net_exception & )
                 {
-                    link.close(); /** peer gone; drop the link **/
+                    /** peer gone: stop sending, and wake the receiver **/
+                    l.up = false;
+                    l.conn.kill();
                 }
             }
         }

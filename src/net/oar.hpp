@@ -87,10 +87,19 @@ private:
     std::chrono::milliseconds interval_;
     tcp_listener listener_;
 
+    /** One status link. A failed heartbeat send marks it down and shuts
+     *  it down (tcp_connection::kill); its fd is closed only by stop(),
+     *  after its receive thread has returned. */
+    struct link
+    {
+        tcp_connection conn;
+        bool up{ true };
+    };
+
     mutable std::mutex mutex_;
     /** deque: element references stay valid across push_back, so receiver
      *  threads can hold a link pointer while new peers join */
-    std::deque<tcp_connection> links_;
+    std::deque<link> links_;
     std::map<std::uint32_t, node_status> registry_;
     node_status self_{};
 

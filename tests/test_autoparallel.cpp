@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -54,41 +55,60 @@ raft::run_options replicated_opts( const std::size_t width,
     return o;
 }
 
+/** A least-utilized split run: `replicas` replicas, a corpus cut into
+ *  `segment`-byte segments, rings of `capacity` slots (0 = default). */
+struct spread_case
+{
+    std::size_t replicas;
+    std::size_t corpus_bytes;
+    std::size_t segment;
+    std::size_t capacity;
+};
+
 /** The Fig. 10 graph's input cut finer: 24 MiB in 4 KiB segments. Short
  *  segments keep the replicas' queues near empty, which is where ties in
  *  the split's ranking decide who gets the next burst. */
-constexpr std::size_t spread_corpus  = 24u << 20;
-constexpr std::size_t spread_segment = 4096;
+constexpr spread_case fine_segments{ 4, 24u << 20, 4096, 0 };
+
+/** wordcount_pool's input: 8 MiB in 64 KiB segments, 128 in all, to two
+ *  replicas. Rings of 1,024 slots never fill, so a ranking reused across
+ *  bursts sends every segment to one replica. */
+constexpr spread_case roomy_rings{ 2, 8u << 20, 64u << 10, 1024 };
 
 /**
- * filereader → search<ahocorasick> × 4 → write_each with the default
- * least-utilized split. Returns how many segments each replica popped,
- * read from the run report.
+ * filereader → search<ahocorasick> × replicas → write_each with the
+ * default least-utilized split. Returns how many segments each replica
+ * popped, read from the run report.
  */
 std::vector<std::uint64_t>
-segments_per_replica( const raft::scheduler_kind sched )
+segments_per_replica( const raft::scheduler_kind sched,
+                      const spread_case &c )
 {
     raft::algo::corpus_options copt;
-    copt.size_bytes = spread_corpus;
+    copt.size_bytes = c.corpus_bytes;
     copt.seed       = 10;
     copt.pattern    = "streamkernel";
-    static const auto corpus = std::make_shared<const std::string>(
+    const auto corpus = std::make_shared<const std::string>(
         raft::algo::make_corpus( copt ) );
 
     std::vector<raft::match_t> hits;
     raft::map m;
     auto p = m.link<raft::out>(
         raft::kernel::make<raft::filereader>(
-            corpus, copt.pattern.size() - 1, spread_segment ),
+            corpus, copt.pattern.size() - 1, c.segment ),
         raft::kernel::make<raft::search<raft::ahocorasick>>(
             copt.pattern ) );
     m.link<raft::out>( &( p.dst ),
                        raft::kernel::make<raft::write_each<raft::match_t>>(
                            std::back_inserter( hits ) ) );
     raft::runtime::perf_snapshot snap;
-    auto o      = replicated_opts( 4, raft::split_kind::least_utilized );
+    auto o = replicated_opts( c.replicas, raft::split_kind::least_utilized );
     o.scheduler = sched;
     o.stats_out = &snap;
+    if( c.capacity != 0 )
+    {
+        o.initial_queue_capacity = c.capacity;
+    }
     m.exe( o );
 
     EXPECT_EQ( hits.size(),
@@ -111,18 +131,30 @@ segments_per_replica( const raft::scheduler_kind sched )
 void expect_spread( const std::vector<std::uint64_t> &popped )
 {
     ASSERT_EQ( popped.size(), 4u );
-    std::uint64_t total = 0;
-    for( const auto n : popped )
-    {
-        total += n;
-    }
-    EXPECT_EQ( total, spread_corpus / spread_segment );
+    const auto total =
+        std::accumulate( popped.begin(), popped.end(), std::uint64_t{ 0 } );
+    EXPECT_EQ( total, fine_segments.corpus_bytes / fine_segments.segment );
     for( std::size_t i = 0; i < popped.size(); ++i )
     {
         EXPECT_LE( 2 * popped[ i ], total )
             << "replica " << i << " popped " << popped[ i ] << " of "
             << total << " segments";
         EXPECT_GE( 16 * popped[ i ], total )
+            << "replica " << i << " popped " << popped[ i ] << " of "
+            << total << " segments";
+    }
+}
+
+/** Each of the two replicas gets at least a quarter of the segments. */
+void expect_burst_spread( const std::vector<std::uint64_t> &popped )
+{
+    ASSERT_EQ( popped.size(), 2u );
+    const auto total =
+        std::accumulate( popped.begin(), popped.end(), std::uint64_t{ 0 } );
+    EXPECT_EQ( total, roomy_rings.corpus_bytes / roomy_rings.segment );
+    for( std::size_t i = 0; i < popped.size(); ++i )
+    {
+        EXPECT_GE( 4 * popped[ i ], total )
             << "replica " << i << " popped " << popped[ i ] << " of "
             << total << " segments";
     }
@@ -369,13 +401,26 @@ TEST( split_strategy, least_utilized_cached_choice_survives_lane_shrink )
 
 TEST( split_strategy, least_utilized_spreads_segments_on_threads )
 {
-    expect_spread(
-        segments_per_replica( raft::scheduler_kind::thread_per_kernel ) );
+    expect_spread( segments_per_replica(
+        raft::scheduler_kind::thread_per_kernel, fine_segments ) );
 }
 
 TEST( split_strategy, least_utilized_spreads_segments_on_the_pool )
 {
-    expect_spread( segments_per_replica( raft::scheduler_kind::pool ) );
+    expect_spread(
+        segments_per_replica( raft::scheduler_kind::pool, fine_segments ) );
+}
+
+TEST( split_strategy, least_utilized_spreads_bursts_on_threads )
+{
+    expect_burst_spread( segments_per_replica(
+        raft::scheduler_kind::thread_per_kernel, roomy_rings ) );
+}
+
+TEST( split_strategy, least_utilized_spreads_bursts_on_the_pool )
+{
+    expect_burst_spread(
+        segments_per_replica( raft::scheduler_kind::pool, roomy_rings ) );
 }
 
 TEST( split_strategy, factory_maps_kinds )

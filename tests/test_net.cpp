@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -147,14 +149,22 @@ TEST( oar, mesh_exchanges_status )
     b.set_load( 0.2, 0.8, 3 );
     c.set_load( 0.5, 0.5, 7 );
 
-    /** wait for gossip to converge **/
+    /** wait for gossip to converge: each heartbeat before set_load()
+     *  already put a status with load 0 in the peers' registries, so wait
+     *  for the values, not for the entries **/
+    const auto holds = []( const std::map<std::uint32_t,
+                                          raft::net::node_status> &reg,
+                           const std::uint32_t peer, const double load ) {
+        return reg.count( peer ) != 0 && reg.at( peer ).load == load;
+    };
     const auto deadline =
         std::chrono::steady_clock::now() + 2s;
     while( std::chrono::steady_clock::now() < deadline )
     {
-        if( b.registry().count( 1 ) != 0 &&
-            c.registry().count( 1 ) != 0 && c.registry().count( 2 ) &&
-            a.registry().count( 2 ) != 0 )
+        const auto ra = a.registry(), rb = b.registry(), rc = c.registry();
+        if( holds( rb, 1, 0.9 ) && holds( rc, 1, 0.9 ) &&
+            holds( rc, 2, 0.2 ) && holds( ra, 2, 0.2 ) &&
+            holds( ra, 3, 0.5 ) )
         {
             break;
         }

@@ -3,7 +3,8 @@
  * for a fixed quantum of run() calls, which is only safe while every
  * kernel's ready() means "one run() will not block". These tests pin both
  * halves: the quantum is visible in the order of run() calls, and a merge
- * whose output fills cannot hold the only worker.
+ * whose output fills cannot hold the only worker. The pool_fusion suite
+ * checks that a reduce adapter runs inside its consumer's claim.
  */
 #include <gtest/gtest.h>
 
@@ -68,6 +69,36 @@ bool exe_within( const std::shared_ptr<graph_run> &g,
     runner.join();
     result.get();
     return true;
+}
+
+/** Clonable a·v + b: a stage the runtime replicates behind split and
+ *  reduce adapters on raft::out links. */
+class affine final : public raft::kernel
+{
+public:
+    affine( const i64 a, const i64 b ) : a_( a ), b_( b )
+    {
+        input.addPort<i64>( "0" );
+        output.addPort<i64>( "0" );
+    }
+    raft::kstatus run() override
+    {
+        auto v = input[ "0" ].pop_s<i64>();
+        output[ "0" ].push<i64>( a_ * *v + b_ );
+        return raft::proceed;
+    }
+    bool clone_supported() const override { return true; }
+    raft::kernel *clone() const override { return new affine( a_, b_ ); }
+
+private:
+    const i64 a_;
+    const i64 b_;
+};
+
+raft::generate<i64> *series( const std::size_t n )
+{
+    return raft::kernel::make<raft::generate<i64>>(
+        n, []( std::size_t i ) { return i64( i ); } );
 }
 
 /** K with every run() appended to a shared log under a fixed id. The pool
@@ -167,32 +198,13 @@ TEST( pool_scheduler, quantum_keeps_a_ready_kernel_running )
  *  the worker on run() calls that cannot move anything. */
 TEST( pool_scheduler, one_worker_drives_split_and_reduce )
 {
-    class doubler final : public raft::kernel
-    {
-    public:
-        doubler()
-        {
-            input.addPort<i64>( "0" );
-            output.addPort<i64>( "0" );
-        }
-        raft::kstatus run() override
-        {
-            auto v = input[ "0" ].pop_s<i64>();
-            output[ "0" ].push<i64>( 2 * *v );
-            return raft::proceed;
-        }
-        bool clone_supported() const override { return true; }
-        raft::kernel *clone() const override { return new doubler(); }
-    };
     const std::size_t n = 20000;
     for( const auto strategy : { raft::split_kind::round_robin,
                                  raft::split_kind::least_utilized } )
     {
         auto g = std::make_shared<graph_run>();
-        auto p = g->m.link<raft::out>(
-            raft::kernel::make<raft::generate<i64>>(
-                n, []( std::size_t i ) { return i64( i ); } ),
-            raft::kernel::make<doubler>() );
+        auto p = g->m.link<raft::out>( series( n ),
+                                       raft::kernel::make<affine>( 2, 0 ) );
         g->m.link<raft::out>( &( p.dst ),
                               raft::kernel::make<raft::write_each<i64>>(
                                   std::back_inserter( g->out ) ) );
@@ -430,4 +442,195 @@ TEST( pool_scheduler, bursty_source_delivers_in_order )
             ASSERT_EQ( g->out[ i ], i64( 3 * i ) ) << workers << " workers";
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* reduce adapters fused into their consumer's slot                     */
+/* ------------------------------------------------------------------ */
+
+namespace {
+
+/** Pool of `workers`, every replicated stage two wide. */
+raft::run_options fused_pool( const std::size_t workers )
+{
+    auto o              = pool_of( workers );
+    o.replication_width = 2;
+    return o;
+}
+
+/** Counts the kernels inside run() (or merge()) at once among those that
+ *  share it, and keeps the largest count seen. */
+struct overlap_probe
+{
+    std::atomic<int> inside{ 0 };
+    std::atomic<int> most{ 0 };
+
+    template <class F> auto enter( F &&body )
+    {
+        const int now = inside.fetch_add( 1 ) + 1;
+        int seen      = most.load();
+        while( now > seen && !most.compare_exchange_weak( seen, now ) )
+        {
+        }
+        struct leave
+        {
+            std::atomic<int> &n;
+            ~leave() { n.fetch_sub( 1 ); }
+        } guard{ inside };
+        return body();
+    }
+};
+
+/** The default reduce adapter, with every merge() inside the probe. */
+class probed_reduce final : public raft::reduce_kernel
+{
+public:
+    probed_reduce( overlap_probe &probe, const std::size_t width )
+        : raft::reduce_kernel( raft::detail::type_meta::of<i64>(), width ),
+          probe_( probe )
+    {
+    }
+
+protected:
+    std::size_t merge( std::vector<raft::fifo_base *> &ins,
+                       raft::fifo_base &out ) override
+    {
+        return probe_.enter(
+            [ & ] { return raft::reduce_kernel::merge( ins, out ); } );
+    }
+
+private:
+    overlap_probe &probe_;
+};
+
+/** Adds the element of each of its two inputs, inside the probe. */
+class probed_sum final : public raft::kernel
+{
+public:
+    explicit probed_sum( overlap_probe &probe ) : probe_( probe )
+    {
+        input.addPort<i64>( "a", "b" );
+        output.addPort<i64>( "0" );
+    }
+    raft::kstatus run() override
+    {
+        probe_.enter( [ & ] {
+            auto a = input[ "a" ].pop_s<i64>();
+            auto b = input[ "b" ].pop_s<i64>();
+            output[ "0" ].push<i64>( *a + *b );
+        } );
+        return raft::proceed;
+    }
+
+private:
+    overlap_probe &probe_;
+};
+
+} /** end anonymous namespace **/
+
+/** One worker: a reduce runs only inside its consumer's claim, so if that
+ *  claim did not dispatch it, nothing would reach the sink. */
+TEST( pool_fusion, one_worker_delivers_every_element )
+{
+    const std::size_t n = 100'000;
+    auto g              = std::make_shared<graph_run>();
+    auto p = g->m.link<raft::out>( series( n ),
+                                   raft::kernel::make<affine>( 1, 0 ) );
+    g->m.link<raft::out>( &( p.dst ),
+                          raft::kernel::make<raft::write_each<i64>>(
+                              std::back_inserter( g->out ) ) );
+    auto o           = fused_pool( 1 );
+    o.dynamic_resize = false;
+    ASSERT_TRUE( exe_within( g, o, 5s ) ) << "exe() did not return within 5 s";
+    ASSERT_EQ( g->out.size(), n );
+    std::sort( g->out.begin(), g->out.end() );
+    for( std::size_t i = 0; i < n; ++i )
+    {
+        ASSERT_EQ( g->out[ i ], i64( i ) );
+    }
+}
+
+/** The consumer stops after 1,000 elements of a series that would take
+ *  far longer than the bound: the reduce fused into its slot still runs
+ *  to its end, so the replicas, the split and the source end too and
+ *  exe() returns. */
+TEST( pool_fusion, consumer_that_stops_ends_replicas_and_reduce )
+{
+    class take final : public raft::kernel
+    {
+    public:
+        explicit take( std::vector<i64> &out ) : out_( out )
+        {
+            input.addPort<i64>( "0" );
+        }
+        raft::kstatus run() override
+        {
+            out_.push_back( *input[ "0" ].pop_s<i64>() );
+            return out_.size() == 1000 ? raft::stop : raft::proceed;
+        }
+
+    private:
+        std::vector<i64> &out_;
+    };
+    for( const std::size_t workers : { 1u, 3u } )
+    {
+        auto g = std::make_shared<graph_run>();
+        auto p = g->m.link<raft::out>( series( std::size_t( 1 ) << 40 ),
+                                       raft::kernel::make<affine>( 1, 0 ) );
+        g->m.link<raft::out>( &( p.dst ),
+                              raft::kernel::make<take>( g->out ) );
+        ASSERT_TRUE( exe_within( g, fused_pool( workers ), 5s ) )
+            << workers << " workers: exe() did not return within 5 s";
+        EXPECT_EQ( g->out.size(), 1000u ) << workers << " workers";
+    }
+}
+
+/** Two replicated stages in a row: the first reduce feeds the second
+ *  split and is fused into its slot. Every element arrives once. */
+TEST( pool_fusion, chained_replicated_stages_keep_the_checksum )
+{
+    const std::size_t n = 100'000;
+    auto g              = std::make_shared<graph_run>();
+    auto p = g->m.link<raft::out>( series( n ),
+                                   raft::kernel::make<affine>( 2, 0 ) );
+    auto q = g->m.link<raft::out>( &( p.dst ),
+                                   raft::kernel::make<affine>( 1, 1 ) );
+    g->m.link<raft::out>( &( q.dst ),
+                          raft::kernel::make<raft::write_each<i64>>(
+                              std::back_inserter( g->out ) ) );
+    ASSERT_TRUE( exe_within( g, fused_pool( 3 ), 5s ) )
+        << "exe() did not return within 5 s";
+    ASSERT_EQ( g->out.size(), n );
+    /** Σ (2i + 1) over i < n is n² **/
+    EXPECT_EQ( std::accumulate( g->out.begin(), g->out.end(), i64{ 0 } ),
+               i64( n * n ) );
+}
+
+/** A kernel fed by two reduces: both are fused into its slot, so neither
+ *  reduce's merge() overlaps the other's or the kernel's run(), on three
+ *  workers, and the sums arrive exact. */
+TEST( pool_fusion, kernel_fed_by_two_reduces_runs_both_in_its_slot )
+{
+    const std::size_t n = 50'000;
+    overlap_probe probe;
+    auto g    = std::make_shared<graph_run>();
+    auto *sum = raft::kernel::make<probed_sum>( probe );
+    for( const char *side : { "a", "b" } )
+    {
+        auto *rd = raft::kernel::make<probed_reduce>( probe, 2 );
+        for( const char *lane : { "0", "1" } )
+        {
+            g->m.link( series( n ), rd, lane );
+        }
+        g->m.link( rd, "0", sum, side );
+    }
+    g->m.link( sum, raft::kernel::make<raft::write_each<i64>>(
+                        std::back_inserter( g->out ) ) );
+    ASSERT_TRUE( exe_within( g, pool_of( 3 ), 5s ) )
+        << "exe() did not return within 5 s";
+    ASSERT_EQ( g->out.size(), 2 * n );
+    /** each side carries two copies of 0..n-1 **/
+    EXPECT_EQ( std::accumulate( g->out.begin(), g->out.end(), i64{ 0 } ),
+               i64( 2 * n * ( n - 1 ) ) );
+    EXPECT_EQ( probe.most.load(), 1 );
 }
