@@ -137,7 +137,7 @@ double run_skewed_once( const bool elastic, const std::size_t items,
 {
     std::vector<i64> out;
     out.reserve( items );
-    raft::runtime::elastic_report rep;
+    raft::runtime::perf_snapshot rep;
     raft::map m;
     auto p = m.link<raft::out>(
         raft::kernel::make<raft::generate<i64>>(
@@ -155,7 +155,7 @@ double run_skewed_once( const bool elastic, const std::size_t items,
         o.elastic.max_replicas   = 4;
         o.elastic.control_period = std::chrono::milliseconds( 2 );
         o.elastic.hysteresis     = 2;
-        o.elastic.report_out     = &rep;
+        o.stats_out              = &rep;
     }
     else
     {
@@ -168,8 +168,9 @@ double run_skewed_once( const bool elastic, const std::size_t items,
                           .count();
     if( peak_active != nullptr )
     {
-        *peak_active =
-            rep.groups.empty() ? 1 : rep.groups[ 0 ].peak_active;
+        *peak_active = !rep.elastic || rep.elastic->groups.empty()
+                           ? 1
+                           : rep.elastic->groups[ 0 ].peak_active;
     }
     return wall;
 }

@@ -433,11 +433,12 @@ private:
     }
 
     /** ooo-unsafe-replica-lane: an order-sensitive kernel must not end up
-     *  behind a split adapter, where replica lanes receive (and emit)
-     *  elements out of order. Two sightings: the pre-rewrite candidate
-     *  (clonable kernel whose every stream is raft::out — exactly what
-     *  apply_auto_parallel replicates) and the structural case of a split
-     *  or reduce adapter already wired to it. */
+     *  behind a split adapter, where replica lanes receive elements out
+     *  of order. Two sightings: the pre-rewrite candidate (clonable kernel
+     *  whose every stream is raft::out — exactly what apply_auto_parallel
+     *  replicates) and the structural case of a split adapter already
+     *  feeding it. What reads the kernel's output (a reduce, a merge)
+     *  cannot reorder its input, so it is not checked. */
     void check_replica_lanes()
     {
         for( kernel *k : topo_.kernels() )
@@ -471,10 +472,8 @@ private:
             }
             for( const auto &e : topo_.edges() )
             {
-                if( ( e.dst == k &&
-                      dynamic_cast<split_kernel *>( e.src ) != nullptr ) ||
-                    ( e.src == k &&
-                      dynamic_cast<reduce_kernel *>( e.dst ) != nullptr ) )
+                if( e.dst == k &&
+                    dynamic_cast<split_kernel *>( e.src ) != nullptr )
                 {
                     add( severity::error, "ooo-unsafe-replica-lane",
                          k->name(), "",

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/kernel.hpp"
+#include "core/parallel.hpp"
 
 namespace raft {
 
@@ -116,70 +117,18 @@ private:
 };
 
 /** Combine `width` input streams ("0".."w-1") into one, in arrival
- *  order; completes when every input drains. */
-template <class T> class merge : public kernel
+ *  order; completes when every input drains. It is the reduce adapter of
+ *  auto-parallelization with its element type fixed, so it moves up to
+ *  adapter_burst elements per transfer, and on the pool it runs inside the
+ *  dispatch of the kernel that reads its output. */
+template <class T> class merge : public reduce_kernel
 {
 public:
     explicit merge( const std::size_t width )
-        : kernel(), out_( output.addPort<T>( "0" ) )
+        : reduce_kernel( detail::type_meta::of<T>(), width )
     {
-        for( std::size_t i = 0; i < width; ++i )
-        {
-            lanes_.push_back( &input.addPort<T>( std::to_string( i ) ) );
-        }
+        set_name( "raft::merge" );
     }
-
-    kstatus run() override
-    {
-        const auto n     = lanes_.size();
-        bool moved       = false;
-        bool all_drained = true;
-        for( std::size_t k = 0; k < n; ++k )
-        {
-            /** only the first push may wait for space: ready() vouches
-             *  for one slot, not one per lane **/
-            if( moved && !out_.writable() )
-            {
-                break;
-            }
-            auto &p = *lanes_[ ( first_ + k ) % n ];
-            T v{};
-            if( p.template typed<T>().try_pop( v ) )
-            {
-                out_.push<T>( std::move( v ) );
-                moved = true;
-            }
-            all_drained = all_drained && p.drained();
-        }
-        /** rotate the first lane, so a run cut short by a full output
-         *  does not always favour the same lane **/
-        if( ++first_ >= n )
-        {
-            first_ = 0;
-        }
-        if( moved )
-        {
-            idle_.reset();
-            return raft::proceed;
-        }
-        if( all_drained )
-        {
-            return raft::stop;
-        }
-        idle_.pause();
-        return raft::proceed;
-    }
-
-    bool ready() const override
-    {
-        return any_input_ready() && outputs_writable();
-    }
-
-private:
-    port &out_;
-    std::vector<port *> lanes_;
-    std::size_t first_{ 0 };
-    detail::backoff idle_;
 };
 
 /** Group `size` consecutive elements into a std::vector<T>; the final

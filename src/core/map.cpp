@@ -1,6 +1,8 @@
 #include "core/map.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "analysis/analysis.hpp"
 #include "core/exceptions.hpp"
@@ -8,7 +10,6 @@
 #include "core/monitor.hpp"
 #include "core/parallel.hpp"
 #include "core/scheduler.hpp"
-#include "mapping/partition.hpp"
 #include "runtime/elastic/elastic.hpp"
 #include "runtime/supervisor.hpp"
 #include "runtime/telemetry/telemetry.hpp"
@@ -129,10 +130,6 @@ void map::exe( const run_options &opts )
     if( opts.analysis.enabled )
     {
         const auto rep = analysis::analyze( topo_, opts );
-        if( opts.analysis.report_out != nullptr )
-        {
-            *opts.analysis.report_out = rep;
-        }
         std::string fatal;
         std::size_t fatal_count = 0;
         for( const auto &d : rep.diagnostics )
@@ -159,17 +156,15 @@ void map::exe( const run_options &opts )
         }
     }
 
-    const auto machine =
-        opts.machine != nullptr ? *opts.machine
-                                : mapping::machine_desc::detect();
-
     /** 2. automatic parallelization **/
     const bool elastic_on = opts.elastic.enabled;
     std::vector<replica_group> replica_groups;
     if( opts.enable_auto_parallel )
     {
-        auto width = opts.replication_width != 0 ? opts.replication_width
-                                                 : machine.core_count();
+        auto width = opts.replication_width != 0
+                         ? opts.replication_width
+                         : std::max<std::size_t>(
+                               1, std::thread::hardware_concurrency() );
         std::size_t initial_active = 0; /** 0 = route to all lanes **/
         if( elastic_on )
         {
@@ -307,10 +302,7 @@ void map::exe( const run_options &opts )
             "monitor delta ticks this run" );
     }
 
-    /** 5. mapping **/
-    const auto assign = mapping::partition( topo_, machine );
-
-    /** async signal bus **/
+    /** 5. async signal bus **/
     async_signal_bus bus;
     for( kernel *k : topo_.kernels() )
     {
@@ -325,7 +317,7 @@ void map::exe( const run_options &opts )
     std::exception_ptr run_error;
     try
     {
-        scheduler->execute( topo_.kernels(), opts, &assign, machine );
+        scheduler->execute( topo_.kernels(), opts );
     }
     catch( ... )
     {
@@ -334,35 +326,34 @@ void map::exe( const run_options &opts )
     const auto t1 = std::chrono::steady_clock::now();
     mon.stop();
 
-    /** 7. statistics & teardown **/
-    if( ctrl != nullptr && opts.elastic.report_out != nullptr )
-    {
-        *opts.elastic.report_out = ctrl->report();
-    }
-    if( sup != nullptr && opts.supervision.report_out != nullptr )
-    {
-        *opts.supervision.report_out = sup->report();
-    }
+    /** 7. the run report (also before a graph_error is rethrown) **/
     if( opts.stats_out != nullptr )
     {
-        const double wall =
-            std::chrono::duration<double>( t1 - t0 ).count();
-        mon.collect( *opts.stats_out, wall );
+        auto &rep = *opts.stats_out;
+        mon.collect( rep, std::chrono::duration<double>( t1 - t0 ).count() );
+        if( ctrl != nullptr )
+        {
+            rep.elastic = ctrl->report();
+        }
+        if( sup != nullptr )
+        {
+            rep.supervision = sup->report();
+        }
+        if( tele != nullptr )
+        {
+            const auto ts = telemetry::trace_counters();
+            rep.telemetry =
+                runtime::trace_report{ ts.recorded, ts.dropped, ts.threads };
+        }
     }
+
+    /** 8. teardown **/
     if( tele != nullptr )
     {
-        /** write artifacts and detach probes while streams are still
+        /** write the trace and detach probes while streams are still
          *  bound (close() is idempotent; the unique_ptr destructor is
          *  only the unwind-path fallback) **/
-        runtime::perf_snapshot tele_snap;
-        const runtime::perf_snapshot *snap = nullptr;
-        if( !opts.telemetry.json_out.empty() )
-        {
-            mon.collect( tele_snap,
-                         std::chrono::duration<double>( t1 - t0 ).count() );
-            snap = &tele_snap;
-        }
-        tele->close( snap );
+        tele->close();
     }
     for( kernel *k : topo_.kernels() )
     {

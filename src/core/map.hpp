@@ -14,9 +14,13 @@
  *   3. type checking across each link, splicing arithmetic conversion
  *      adapters where the endpoint types are convertible,
  *   4. stream allocation (heap ring buffers by default) and port binding,
- *   5. kernel-to-resource mapping (partition.hpp),
+ *   5. the async signal bus,
  *   6. monitor start, scheduler execution, monitor stop,
- *   7. statistics collection and teardown.
+ *   7. the run report into run_options::stats_out (also before a
+ *      graph_error is rethrown),
+ *   8. teardown.
+ * Thread placement is left to the OS: the mapper (mapping/partition.hpp)
+ * is a study tool that exe() does not run.
  */
 #pragma once
 

@@ -34,11 +34,8 @@ void monitor::start()
     {
         return;
     }
-    const bool report = opts_.stats_out != nullptr ||
-                        ( opts_.telemetry.enabled &&
-                          !opts_.telemetry.json_out.empty() );
-    if( !opts_.dynamic_resize && !report && elastic_ == nullptr &&
-        supervisor_ == nullptr )
+    if( !opts_.dynamic_resize && opts_.stats_out == nullptr &&
+        elastic_ == nullptr && supervisor_ == nullptr )
     {
         running_.store( false );
         return; /** nothing to do — zero overhead **/
@@ -207,7 +204,7 @@ bool monitor::tick()
 
 void monitor::collect( runtime::perf_snapshot &out, const double wall ) const
 {
-    out.streams.clear();
+    out               = runtime::perf_snapshot{};
     out.wall_seconds  = wall;
     out.monitor_ticks = ticks_.load( std::memory_order_relaxed );
     for( const auto &e : entries_ )

@@ -109,12 +109,13 @@ public:
     }
 
     /** Start the thread only if something acts on or reads the samples:
-     *  dynamic_resize, stats_out, a telemetry json_out, or a hook. */
+     *  dynamic_resize, stats_out, or a hook. */
     void start();
     void stop();
 
-    /** Fill `out` with the run's statistics; call after stop(). `wall`
-     *  is the measured execution time in seconds. */
+    /** Replace `out` with the run's stream statistics, no section set;
+     *  call after stop(). `wall` is the measured execution time in
+     *  seconds. */
     void collect( runtime::perf_snapshot &out, double wall ) const;
 
     std::uint64_t ticks() const noexcept

@@ -15,7 +15,6 @@
 #include <thread>
 
 #include "core/restart.hpp"
-#include "mapping/machine.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/telemetry/options.hpp"
 
@@ -70,11 +69,9 @@ struct elastic_options
     ///@}
 
     /** Grow FIFOs predicted (M/M/1) to exceed capacity before the writer
-     *  ever blocks 3δ. Requires dynamic_resize. */
+     *  ever blocks 3δ. Requires dynamic_resize. The controller's trajectory
+     *  is the run report's `elastic` section (run_options::stats_out). */
     bool predictive_resize{ true };
-
-    /** Filled with the controller's trajectory at teardown when non-null. */
-    runtime::elastic_report *report_out{ nullptr };
 };
 
 /**
@@ -83,7 +80,9 @@ struct elastic_options
  * for stalls from the monitor thread. Off by default — with enabled ==
  * false a kernel exception cancels the graph exactly as the unsupervised
  * runtime does (the scheduler still aggregates every failure into
- * graph_error either way).
+ * graph_error either way). The supervisor's history is the run report's
+ * `supervision` section (run_options::stats_out), filled before exe()
+ * throws too.
  */
 struct supervision_options
 {
@@ -106,14 +105,7 @@ struct supervision_options
     ///@{
     std::chrono::nanoseconds watchdog_deadline{ 0 };
     ///@}
-
-    /** Filled with the supervisor's history at teardown when non-null. */
-    runtime::supervision_report *report_out{ nullptr };
 };
-
-namespace analysis {
-struct report; /** src/analysis/analysis.hpp **/
-} /** end namespace analysis **/
 
 /**
  * Static analysis (src/analysis/): map::exe() runs the raft::analyze graph
@@ -129,9 +121,6 @@ struct analysis_options
     bool enabled{ true };
     /** Escalate warning diagnostics to fail the run too. */
     bool warnings_as_errors{ false };
-    /** Filled with the full report (errors, warnings and notes) when
-     *  non-null — also on the throwing path, before the throw. */
-    analysis::report *report_out{ nullptr };
 };
 
 struct run_options
@@ -152,26 +141,26 @@ struct run_options
     bool allow_shrink{ false };
     ///@}
 
-    /** @name scheduling & mapping */
+    /** @name scheduling */
     ///@{
     scheduler_kind scheduler{ scheduler_kind::thread_per_kernel };
     std::size_t pool_threads{ 0 };  /**< 0 = hardware_concurrency          */
-    const mapping::machine_desc *machine{ nullptr }; /**< null = detect   */
-    bool pin_threads{ false };      /**< pin kernels per mapper decision   */
     ///@}
 
     /** @name automatic parallelization (§4.1) */
     ///@{
     bool enable_auto_parallel{ true };
-    /** Replicas per clonable kernel; 0 = one per available core. */
+    /** Replicas per clonable kernel; 0 = one per hardware thread. */
     std::size_t replication_width{ 0 };
     split_kind split_strategy{ split_kind::least_utilized };
     ///@}
 
     /** @name monitoring */
     ///@{
-    /** Filled with the run's statistics at teardown when non-null (which
-     *  also starts the monitor thread, see monitor::start()). */
+    /** Filled with the run report at teardown when non-null (which also
+     *  starts the monitor thread, see monitor::start()): the stream
+     *  statistics, plus a section per enabled elastic, supervision or
+     *  telemetry subsystem. */
     runtime::perf_snapshot *stats_out{ nullptr };
     ///@}
 

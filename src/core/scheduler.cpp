@@ -17,11 +17,6 @@
 #include "runtime/telemetry/metrics.hpp"
 #include "runtime/telemetry/trace.hpp"
 
-#if defined( __linux__ )
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace raft {
 
 namespace {
@@ -411,26 +406,10 @@ void fuse_reduces( std::vector<slot> &slots )
  * so cancel() ends the wait early.
  */
 void thread_scheduler::execute( const std::vector<kernel *> &kernels,
-                                const run_options &opts,
-                                const mapping::assignment *assign,
-                                const mapping::machine_desc &machine )
+                                const run_options & /* opts */ )
 {
-    (void) machine;
     exec_context ctx( kernels, sup_ );
     ctx.run_workers( kernels.size(), [ & ]( const std::size_t i ) {
-#if defined( __linux__ )
-        if( opts.pin_threads && assign != nullptr &&
-            i < assign->core_of.size() )
-        {
-            cpu_set_t set;
-            CPU_ZERO( &set );
-            CPU_SET( assign->core_of[ i ] %
-                         std::max( 1u, std::thread::hardware_concurrency() ),
-                     &set );
-            (void) pthread_setaffinity_np( pthread_self(), sizeof( set ),
-                                           &set );
-        }
-#endif
         auto &s = ctx.slots[ i ];
         if( s.k->probe() != nullptr && telemetry::tracing() )
         {
@@ -484,12 +463,8 @@ void thread_scheduler::execute( const std::vector<kernel *> &kernels,
  * ready() override that watches a socket, or a resize by the monitor.
  */
 void pool_scheduler::execute( const std::vector<kernel *> &kernels,
-                              const run_options &opts,
-                              const mapping::assignment *assign,
-                              const mapping::machine_desc &machine )
+                              const run_options &opts )
 {
-    (void) assign;
-    (void) machine;
     constexpr int spin_limit           = 64;
     constexpr std::int64_t park_cap_ns = 1'000'000;
     constexpr auto no_deadline = std::numeric_limits<std::int64_t>::max();

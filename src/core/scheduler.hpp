@@ -43,7 +43,6 @@
 #include "core/exceptions.hpp"
 #include "core/kernel.hpp"
 #include "core/options.hpp"
-#include "mapping/machine.hpp"
 
 namespace raft {
 
@@ -58,14 +57,11 @@ public:
 
     /**
      * Run every kernel to completion; returns when the application has
-     * fully drained. `assign` (optional) maps kernel index → core id for
-     * affinity pinning. Throws graph_error naming every kernel that failed
+     * fully drained. Throws graph_error naming every kernel that failed
      * terminally, after all kernels have been shut down.
      */
     virtual void execute( const std::vector<kernel *> &kernels,
-                          const run_options &opts,
-                          const mapping::assignment *assign,
-                          const mapping::machine_desc &machine ) = 0;
+                          const run_options &opts ) = 0;
 
     /** Supervised execution: attach before execute(); may stay null. */
     void set_supervisor( runtime::supervisor *s ) noexcept { sup_ = s; }
@@ -78,18 +74,14 @@ class thread_scheduler final : public ischeduler
 {
 public:
     void execute( const std::vector<kernel *> &kernels,
-                  const run_options &opts,
-                  const mapping::assignment *assign,
-                  const mapping::machine_desc &machine ) override;
+                  const run_options &opts ) override;
 };
 
 class pool_scheduler final : public ischeduler
 {
 public:
     void execute( const std::vector<kernel *> &kernels,
-                  const run_options &opts,
-                  const mapping::assignment *assign,
-                  const mapping::machine_desc &machine ) override;
+                  const run_options &opts ) override;
 };
 
 std::unique_ptr<ischeduler> make_scheduler( scheduler_kind kind );

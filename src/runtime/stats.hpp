@@ -8,7 +8,9 @@
  * adds one probe (a size() and a capacity() load) to each stream's
  * stream_sample. The run report and the elastic controller read that one
  * sample; map::exe() returns the report as a perf_snapshot through
- * run_options::stats_out. Collection is deliberately cheap: per probe, a
+ * run_options::stats_out, the run's only report: the elastic controller,
+ * the supervisor and the telemetry session each add an optional section
+ * to it. Collection is deliberately cheap: per probe, a
  * few counter increments and one histogram bucket increment per stream
  * (the low-impact design the TimeTrial line of work argues for).
  */
@@ -17,6 +19,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -194,26 +197,146 @@ struct stream_stats
     }
 };
 
-/** Whole-application monitoring snapshot returned by map::exe(). */
+namespace detail {
+
+/** First item that `match` accepts, else nullptr: the substring lookup
+ *  behind every find() of the run report. */
+template <class T, class Match>
+const T *find_first( const std::vector<T> &items, const Match &match )
+{
+    for( const auto &item : items )
+    {
+        if( match( item ) )
+        {
+            return &item;
+        }
+    }
+    return nullptr;
+}
+
+inline bool contains( const std::string &s, const std::string &part )
+{
+    return s.find( part ) != std::string::npos;
+}
+
+} /** end namespace detail **/
+
+/** @name supervision section (runtime/supervisor.hpp) */
+///@{
+
+/** One kernel's history under the supervisor. */
+struct kernel_supervision_report
+{
+    std::string kernel_name;
+    std::size_t restarts{ 0 };        /**< restarts granted              */
+    std::size_t failures{ 0 };        /**< throws observed (incl. final) */
+    bool terminal{ false };           /**< policy exhausted / none       */
+    std::string last_error;
+};
+
+/** Whole-run supervision summary: perf_snapshot::supervision. */
+struct supervision_report
+{
+    std::vector<kernel_supervision_report> kernels;
+    std::size_t total_restarts{ 0 };
+    std::size_t terminal_failures{ 0 };
+    std::size_t watchdog_stalls{ 0 };
+    /** Per-kernel occupancy/rate diagnostics captured at the last stall
+     *  (empty when the watchdog never fired). */
+    std::string last_stall_diagnostics;
+
+    const kernel_supervision_report *
+    find( const std::string &contains ) const
+    {
+        return detail::find_first( kernels, [ & ]( const auto &k ) {
+            return detail::contains( k.kernel_name, contains );
+        } );
+    }
+};
+///@}
+
+/** @name elastic section (runtime/elastic/) */
+///@{
+
+/** One replica group's trajectory under the elastic controller. */
+struct elastic_group_report
+{
+    std::string kernel_name;     /**< the replicated kernel               */
+    std::size_t min_active{ 1 }; /**< configured floor                    */
+    std::size_t max_active{ 1 }; /**< configured ceiling (= lane count)   */
+    std::size_t final_active{ 1 };
+    std::size_t peak_active{ 1 };
+    std::size_t grows{ 0 };      /**< replica-activation decisions        */
+    std::size_t shrinks{ 0 };    /**< replica-retirement decisions        */
+    std::size_t strategy_switches{ 0 };
+
+    /** Last online estimates (elements/s unless noted). */
+    double lambda_hz{ 0.0 };     /**< offered arrival rate                */
+    double mu_hz{ 0.0 };         /**< non-blocking service rate / replica */
+    double rho{ 0.0 };           /**< λ / (μ · active)                    */
+
+    /** Input-stream occupancy quantiles over every monitor tick
+     *  (occupancy_histogram::p50/p95 — the distribution the thresholds
+     *  acted on, not just its mean). */
+    double input_p50_utilization{ 0.0 };
+    double input_p95_utilization{ 0.0 };
+
+    /** Largest replica count the queueing model asked for over the run
+     *  (windows with warmed-up estimates only) — directly comparable with
+     *  the offline optimizer's answer for the loaded phase. */
+    std::size_t model_desired{ 1 };
+};
+
+/** Whole-run elastic controller summary: perf_snapshot::elastic. */
+struct elastic_report
+{
+    std::vector<elastic_group_report> groups;
+    std::uint64_t control_ticks{ 0 };      /**< policy evaluations       */
+    std::uint64_t predictive_resizes{ 0 }; /**< FIFO grows ahead of 3δ   */
+
+    const elastic_group_report *find( const std::string &contains ) const
+    {
+        return detail::find_first( groups, [ & ]( const auto &g ) {
+            return detail::contains( g.kernel_name, contains );
+        } );
+    }
+};
+///@}
+
+/** Tracer accounting of a telemetry-enabled run: perf_snapshot::telemetry.
+ *  The Prometheus port is not here: a scraper needs it while the graph
+ *  runs, so telemetry_options::bound_port_out publishes it. */
+struct trace_report
+{
+    std::uint64_t trace_events_recorded{ 0 };
+    std::uint64_t trace_events_dropped{ 0 };
+    std::uint64_t trace_threads{ 0 };
+};
+
+/**
+ * The run report: map::exe() fills it through run_options::stats_out, on
+ * success and before it throws graph_error. The stream statistics are
+ * always there; each optional section is set only when its subsystem was
+ * enabled for the run.
+ */
 struct perf_snapshot
 {
     std::vector<stream_stats> streams;
     double wall_seconds{ 0.0 };
     std::uint64_t monitor_ticks{ 0 };
 
+    std::optional<elastic_report> elastic;         /**< elastic.enabled     */
+    std::optional<supervision_report> supervision; /**< supervision.enabled */
+    std::optional<trace_report> telemetry;         /**< telemetry.enabled   */
+
     /** First stream whose endpoints contain the given substrings. */
     const stream_stats *find( const std::string &src_contains,
                               const std::string &dst_contains ) const
     {
-        for( const auto &s : streams )
-        {
-            if( s.src_kernel.find( src_contains ) != std::string::npos &&
-                s.dst_kernel.find( dst_contains ) != std::string::npos )
-            {
-                return &s;
-            }
-        }
-        return nullptr;
+        return detail::find_first( streams, [ & ]( const auto &s ) {
+            return detail::contains( s.src_kernel, src_contains ) &&
+                   detail::contains( s.dst_kernel, dst_contains );
+        } );
     }
 
     double total_bytes_moved() const
@@ -255,9 +378,8 @@ struct perf_snapshot
         return merged.quantile( 0.99 );
     }
 
-    /** Whole snapshot as JSON — the telemetry JSON writer (and anything
-     *  piping stats at a dashboard) goes through here instead of
-     *  hand-walking the structs. */
+    /** Whole report as JSON, sections included: one key per present
+     *  section, none for an absent one. */
     std::string to_json() const
     {
         std::ostringstream os;
@@ -280,17 +402,26 @@ struct perf_snapshot
             }
             return out;
         };
+        /** one JSON object per item, a line each **/
+        const auto list = [ &os ]( const auto &items, const auto &render )
+        {
+            const char *sep = "\n";
+            for( const auto &item : items )
+            {
+                os << sep << "    {";
+                render( item );
+                os << "}";
+                sep = ",\n";
+            }
+        };
         os << "{\n  \"wall_seconds\": " << wall_seconds
            << ",\n  \"monitor_ticks\": " << monitor_ticks
            << ",\n  \"total_bytes_moved\": " << total_bytes_moved()
            << ",\n  \"mean_utilization\": " << mean_utilization()
            << ",\n  \"p99_utilization\": " << p99_utilization()
            << ",\n  \"streams\": [";
-        bool first = true;
-        for( const auto &s : streams )
-        {
-            os << ( first ? "\n" : ",\n" ) << "    {\"src\": \""
-               << esc( s.src_kernel ) << "\", \"dst\": \""
+        list( streams, [ & ]( const stream_stats &s ) {
+            os << "\"src\": \"" << esc( s.src_kernel ) << "\", \"dst\": \""
                << esc( s.dst_kernel ) << "\", \"src_port\": \""
                << esc( s.src_port ) << "\", \"dst_port\": \""
                << esc( s.dst_port ) << "\", \"type\": \""
@@ -317,15 +448,69 @@ struct perf_snapshot
             {
                 os << ( i == 0 ? "" : ", " ) << s.occupancy.bucket( i );
             }
+            os << "]";
+        } );
+        os << "\n  ]";
+        if( elastic )
+        {
+            os << ",\n  \"elastic\": {\"control_ticks\": "
+               << elastic->control_ticks << ", \"predictive_resizes\": "
+               << elastic->predictive_resizes << ", \"groups\": [";
+            list( elastic->groups, [ & ]( const elastic_group_report &g ) {
+                os << "\"kernel\": \"" << esc( g.kernel_name )
+                   << "\", \"min_active\": " << g.min_active
+                   << ", \"max_active\": " << g.max_active
+                   << ", \"final_active\": " << g.final_active
+                   << ", \"peak_active\": " << g.peak_active
+                   << ", \"grows\": " << g.grows
+                   << ", \"shrinks\": " << g.shrinks
+                   << ", \"strategy_switches\": " << g.strategy_switches
+                   << ",\n     \"lambda_hz\": " << g.lambda_hz
+                   << ", \"mu_hz\": " << g.mu_hz << ", \"rho\": " << g.rho
+                   << ", \"input_p50_utilization\": "
+                   << g.input_p50_utilization
+                   << ", \"input_p95_utilization\": "
+                   << g.input_p95_utilization
+                   << ", \"model_desired\": " << g.model_desired;
+            } );
             os << "]}";
-            first = false;
         }
-        os << "\n  ]\n}";
+        if( supervision )
+        {
+            os << ",\n  \"supervision\": {\"total_restarts\": "
+               << supervision->total_restarts << ", \"terminal_failures\": "
+               << supervision->terminal_failures
+               << ", \"watchdog_stalls\": " << supervision->watchdog_stalls
+               << ", \"last_stall_diagnostics\": \""
+               << esc( supervision->last_stall_diagnostics )
+               << "\", \"kernels\": [";
+            list( supervision->kernels,
+                  [ & ]( const kernel_supervision_report &k ) {
+                      os << "\"kernel\": \"" << esc( k.kernel_name )
+                         << "\", \"restarts\": " << k.restarts
+                         << ", \"failures\": " << k.failures
+                         << ", \"terminal\": "
+                         << ( k.terminal ? "true" : "false" )
+                         << ", \"last_error\": \"" << esc( k.last_error )
+                         << "\"";
+                  } );
+            os << "]}";
+        }
+        if( telemetry )
+        {
+            os << ",\n  \"telemetry\": {\"trace_events_recorded\": "
+               << telemetry->trace_events_recorded
+               << ", \"trace_events_dropped\": "
+               << telemetry->trace_events_dropped
+               << ", \"trace_threads\": " << telemetry->trace_threads << "}";
+        }
+        os << "\n}";
         return os.str();
     }
 };
 
-/** Human-readable table: one line per stream plus run totals. */
+/** Human-readable table: one line per stream plus run totals, then one
+ *  block per present section. */
 inline std::ostream &operator<<( std::ostream &os, const perf_snapshot &p )
 {
     os << "perf_snapshot: wall " << p.wall_seconds << " s, "
@@ -343,101 +528,41 @@ inline std::ostream &operator<<( std::ostream &os, const perf_snapshot &p )
            << " p99 " << s.p99_utilization() << ", service "
            << s.service_rate_hz << " Hz\n";
     }
+    if( p.elastic )
+    {
+        os << "elastic: " << p.elastic->control_ticks << " control ticks, "
+           << p.elastic->predictive_resizes << " predictive resizes\n";
+        for( const auto &g : p.elastic->groups )
+        {
+            os << "  " << g.kernel_name << ": " << g.final_active
+               << " replicas (peak " << g.peak_active << ", range "
+               << g.min_active << ".." << g.max_active << "), " << g.grows
+               << " grows, " << g.shrinks << " shrinks, rho " << g.rho
+               << "\n";
+        }
+    }
+    if( p.supervision )
+    {
+        os << "supervision: " << p.supervision->total_restarts
+           << " restarts, " << p.supervision->terminal_failures
+           << " terminal failures, " << p.supervision->watchdog_stalls
+           << " watchdog stalls\n";
+        for( const auto &k : p.supervision->kernels )
+        {
+            os << "  " << k.kernel_name << ": " << k.restarts
+               << " restarts, " << k.failures << " failures"
+               << ( k.terminal ? ", terminal: " + k.last_error : "" )
+               << "\n";
+        }
+    }
+    if( p.telemetry )
+    {
+        os << "telemetry: " << p.telemetry->trace_events_recorded
+           << " trace events recorded, "
+           << p.telemetry->trace_events_dropped << " dropped, "
+           << p.telemetry->trace_threads << " threads\n";
+    }
     return os;
 }
-
-/** @name supervision report (runtime/supervisor.hpp) */
-///@{
-
-/** One kernel's history under the supervisor. */
-struct kernel_supervision_report
-{
-    std::string kernel_name;
-    std::size_t restarts{ 0 };        /**< restarts granted              */
-    std::size_t failures{ 0 };        /**< throws observed (incl. final) */
-    bool terminal{ false };           /**< policy exhausted / none       */
-    std::string last_error;
-};
-
-/** Whole-run supervision summary, returned through
- *  run_options::supervision.report_out. */
-struct supervision_report
-{
-    std::vector<kernel_supervision_report> kernels;
-    std::size_t total_restarts{ 0 };
-    std::size_t terminal_failures{ 0 };
-    std::size_t watchdog_stalls{ 0 };
-    /** Per-kernel occupancy/rate diagnostics captured at the last stall
-     *  (empty when the watchdog never fired). */
-    std::string last_stall_diagnostics;
-
-    const kernel_supervision_report *
-    find( const std::string &contains ) const
-    {
-        for( const auto &k : kernels )
-        {
-            if( k.kernel_name.find( contains ) != std::string::npos )
-            {
-                return &k;
-            }
-        }
-        return nullptr;
-    }
-};
-///@}
-
-/** @name elastic runtime report (runtime/elastic/) */
-///@{
-
-/** One replica group's trajectory under the elastic controller. */
-struct elastic_group_report
-{
-    std::string kernel_name;     /**< the replicated kernel               */
-    std::size_t min_active{ 1 }; /**< configured floor                    */
-    std::size_t max_active{ 1 }; /**< configured ceiling (= lane count)   */
-    std::size_t final_active{ 1 };
-    std::size_t peak_active{ 1 };
-    std::size_t grows{ 0 };      /**< replica-activation decisions        */
-    std::size_t shrinks{ 0 };    /**< replica-retirement decisions        */
-    std::size_t strategy_switches{ 0 };
-
-    /** Last online estimates (elements/s unless noted). */
-    double lambda_hz{ 0.0 };     /**< offered arrival rate                */
-    double mu_hz{ 0.0 };         /**< non-blocking service rate / replica */
-    double rho{ 0.0 };           /**< λ / (μ · active)                    */
-
-    /** Input-stream occupancy quantiles over every monitor tick
-     *  (occupancy_histogram::p50/p95 — the distribution the thresholds
-     *  acted on, not just its mean). */
-    double input_p50_utilization{ 0.0 };
-    double input_p95_utilization{ 0.0 };
-
-    /** Largest replica count the queueing model asked for over the run
-     *  (windows with warmed-up estimates only) — directly comparable with
-     *  the offline optimizer's answer for the loaded phase. */
-    std::size_t model_desired{ 1 };
-};
-
-/** Whole-run elastic controller summary, returned through
- *  run_options::elastic.report_out. */
-struct elastic_report
-{
-    std::vector<elastic_group_report> groups;
-    std::uint64_t control_ticks{ 0 };      /**< policy evaluations       */
-    std::uint64_t predictive_resizes{ 0 }; /**< FIFO grows ahead of 3δ   */
-
-    const elastic_group_report *find( const std::string &contains ) const
-    {
-        for( const auto &g : groups )
-        {
-            if( g.kernel_name.find( contains ) != std::string::npos )
-            {
-                return &g;
-            }
-        }
-        return nullptr;
-    }
-};
-///@}
 
 } /** end namespace raft::runtime **/

@@ -1,12 +1,11 @@
 /**
- * exporters.cpp - Prometheus HTTP endpoint + file writers.
+ * exporters.cpp - Prometheus HTTP endpoint + trace file writer.
  **/
 #include "runtime/telemetry/exporters.hpp"
 
 #include <fstream>
 #include <sstream>
 
-#include "runtime/stats.hpp"
 #include "runtime/telemetry/metrics.hpp"
 #include "runtime/telemetry/trace.hpp"
 
@@ -102,18 +101,6 @@ bool write_trace_file( const std::string &path )
         return false;
     }
     write_trace_json( out );
-    return static_cast<bool>( out );
-}
-
-bool write_snapshot_json( const std::string &path,
-                          const runtime::perf_snapshot &snapshot )
-{
-    std::ofstream out( path );
-    if( !out )
-    {
-        return false;
-    }
-    out << snapshot.to_json() << "\n";
     return static_cast<bool>( out );
 }
 

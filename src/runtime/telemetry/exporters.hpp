@@ -1,13 +1,13 @@
 /**
  * exporters.hpp - telemetry exporters (runtime/telemetry/).
  *
- * Three ways out of the process for §4.1-style instrumentation:
+ * Two ways out of the process for §4.1-style instrumentation (the run
+ * report itself leaves through run_options::stats_out and its to_json()):
  *   - `prometheus_endpoint`: a minimal HTTP/1.0 server on the existing
  *     src/net/socket stack answering every request with the registry's
  *     text exposition (format 0.0.4) — point a Prometheus scraper or
  *     `examples/raft_top` at it while the graph runs;
- *   - `write_trace_file`: dump the tracer's Chrome trace_event JSON;
- *   - `write_snapshot_json`: dump a perf_snapshot via its to_json().
+ *   - `write_trace_file`: dump the tracer's Chrome trace_event JSON.
  **/
 #ifndef RAFT_RUNTIME_TELEMETRY_EXPORTERS_HPP
 #define RAFT_RUNTIME_TELEMETRY_EXPORTERS_HPP
@@ -21,11 +21,6 @@
 
 namespace raft
 {
-
-namespace runtime
-{
-struct perf_snapshot;
-} /** end namespace runtime **/
 
 namespace telemetry
 {
@@ -71,10 +66,6 @@ std::string scrape_prometheus( const std::string &host, std::uint16_t port );
  *  false on I/O failure instead of throwing — teardown must not mask a
  *  graph error with an export error) **/
 bool write_trace_file( const std::string &path );
-
-/** write snapshot.to_json() to `path` (best-effort, see above) **/
-bool write_snapshot_json( const std::string &path,
-                          const runtime::perf_snapshot &snapshot );
 
 } /** end namespace telemetry **/
 } /** end namespace raft **/

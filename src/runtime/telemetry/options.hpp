@@ -12,23 +12,12 @@
 
 namespace raft
 {
-namespace telemetry
-{
-
-/** filled at session close when telemetry_options::report_out is set **/
-struct telemetry_report
-{
-    std::uint64_t trace_events_recorded{ 0 };
-    std::uint64_t trace_events_dropped{ 0 };
-    std::uint64_t trace_threads{ 0 };
-    std::uint16_t prometheus_port{ 0 }; /** bound port, 0 = not served **/
-};
-
-} /** end namespace telemetry **/
 
 /** run_options::telemetry — everything defaults OFF; with
  *  `enabled == false` no instrumentation site costs more than one
- *  relaxed atomic load (guarded by bench/ab_telemetry). **/
+ *  relaxed atomic load (guarded by bench/ab_telemetry).  The tracer's
+ *  accounting is the run report's `telemetry` section
+ *  (run_options::stats_out). **/
 struct telemetry_options
 {
     /** master switch: metrics registry wiring + per-kernel service-time
@@ -47,10 +36,6 @@ struct telemetry_options
      *  load the file in chrome://tracing or https://ui.perfetto.dev **/
     std::string trace_out{};
 
-    /** write a perf_snapshot JSON (perf_snapshot::to_json()) here at
-     *  teardown ("" = don't) **/
-    std::string json_out{};
-
     /** serve Prometheus text exposition over src/net/socket for the
      *  duration of exe(); `prometheus_port == 0` binds an ephemeral
      *  loopback port **/
@@ -60,9 +45,6 @@ struct telemetry_options
     /** written with the bound endpoint port before kernels start, so a
      *  scraper can attach to an ephemeral port mid-run **/
     std::uint16_t *bound_port_out{ nullptr };
-
-    /** tracer/endpoint accounting out-param **/
-    telemetry::telemetry_report *report_out{ nullptr };
 };
 
 } /** end namespace raft **/

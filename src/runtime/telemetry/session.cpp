@@ -8,7 +8,6 @@
 
 #include "core/fifo.hpp"
 #include "core/kernel.hpp"
-#include "runtime/stats.hpp"
 
 namespace raft
 {
@@ -45,7 +44,7 @@ session::session( const telemetry_options &opts ) : opts_( opts )
 
 session::~session()
 {
-    close( nullptr );
+    close();
 }
 
 void session::watch_stream( fifo_base *f, const std::string &src,
@@ -148,7 +147,7 @@ std::uint16_t session::prometheus_port() const noexcept
     return endpoint_ != nullptr ? endpoint_->port() : 0;
 }
 
-void session::close( const runtime::perf_snapshot *snapshot )
+void session::close()
 {
     if( closed_ )
     {
@@ -157,26 +156,13 @@ void session::close( const runtime::perf_snapshot *snapshot )
     closed_ = true;
     /** stop serving before tearing anything down: no scrape may touch a
      *  stream callback past this point **/
-    const auto served_port = prometheus_port();
     if( endpoint_ != nullptr )
     {
         endpoint_->stop();
     }
-    if( opts_.report_out != nullptr )
-    {
-        const auto ts = trace_counters();
-        opts_.report_out->trace_events_recorded = ts.recorded;
-        opts_.report_out->trace_events_dropped  = ts.dropped;
-        opts_.report_out->trace_threads         = ts.threads;
-        opts_.report_out->prometheus_port       = served_port;
-    }
     if( opts_.trace && !opts_.trace_out.empty() )
     {
         (void) write_trace_file( opts_.trace_out );
-    }
-    if( !opts_.json_out.empty() && snapshot != nullptr )
-    {
-        (void) write_snapshot_json( opts_.json_out, *snapshot );
     }
     for( auto *k : kernels_ )
     {

@@ -6,8 +6,8 @@
  * Prometheus endpoint (publishing the port through bound_port_out before
  * any kernel runs); watch_stream/register_kernel attach interned trace
  * names, live occupancy gauges and service-time probes as the graph is
- * bound; close() writes the Chrome trace / JSON snapshot artifacts and
- * detaches everything while the streams and kernels are still alive.
+ * bound; close() writes the Chrome trace and detaches everything while
+ * the streams and kernels are still alive.
  *
  * Umbrella include for users: pulls in the tracer, registry, options and
  * exporters.
@@ -31,11 +31,6 @@ namespace raft
 
 class fifo_base;
 class kernel;
-
-namespace runtime
-{
-struct perf_snapshot;
-} /** end namespace runtime **/
 
 namespace telemetry
 {
@@ -70,11 +65,11 @@ public:
     /** bound Prometheus port (0 when not serving) **/
     std::uint16_t prometheus_port() const noexcept;
 
-    /** write artifacts, fill report_out, detach probes/gauges, stop the
-     *  endpoint, drop the enable refcounts.  Idempotent.  Must run while
-     *  the watched streams/kernels are still alive; map::exe() calls it
+    /** write the trace file, detach probes/gauges, stop the endpoint,
+     *  drop the enable refcounts.  Idempotent.  Must run while the
+     *  watched streams/kernels are still alive; map::exe() calls it
      *  before unbinding ports. **/
-    void close( const runtime::perf_snapshot *snapshot = nullptr );
+    void close();
 
 private:
     telemetry_options               opts_;

@@ -424,6 +424,7 @@ TEST( elastic_controller, disabled_runtime_is_untouched )
     std::vector<i64> out;
     raft::runtime::elastic_report rep;
     rep.control_ticks = 777; /** sentinel: must remain untouched **/
+    raft::runtime::perf_snapshot report;
 
     raft::map m;
     auto p = m.link<raft::out>(
@@ -436,11 +437,17 @@ TEST( elastic_controller, disabled_runtime_is_untouched )
                            std::back_inserter( out ) ) );
 
     raft::run_options o;
-    o.elastic.enabled    = false;
-    o.elastic.report_out = &rep;
+    o.elastic.enabled = false;
+    o.stats_out       = &report;
     m.exe( o );
 
     ASSERT_EQ( out.size(), count );
+    /** a disabled controller leaves no elastic section to copy **/
+    EXPECT_FALSE( report.elastic );
+    if( report.elastic )
+    {
+        rep = *report.elastic;
+    }
     EXPECT_EQ( rep.control_ticks, 777u );
     EXPECT_TRUE( rep.groups.empty() );
 }
@@ -453,7 +460,7 @@ TEST( elastic_pipeline, skewed_pipeline_converges_to_multiple_replicas )
 {
     const std::size_t count = 1500;
     std::vector<i64> out;
-    raft::runtime::elastic_report rep;
+    raft::runtime::perf_snapshot report;
 
     raft::map m;
     auto p = m.link<raft::out>(
@@ -465,9 +472,11 @@ TEST( elastic_pipeline, skewed_pipeline_converges_to_multiple_replicas )
                        raft::kernel::make<raft::write_each<i64>>(
                            std::back_inserter( out ) ) );
 
-    auto o               = elastic_opts( 4 );
-    o.elastic.report_out = &rep;
+    auto o      = elastic_opts( 4 );
+    o.stats_out = &report;
     m.exe( o );
+    ASSERT_TRUE( report.elastic );
+    const auto &rep = *report.elastic;
 
     /** correctness first: every element exactly once **/
     ASSERT_EQ( out.size(), count );
@@ -499,7 +508,7 @@ TEST( elastic_pipeline, load_drop_retires_replicas )
     const std::size_t trickle = 120;
     const std::size_t count   = burst + trickle;
     std::vector<i64> out;
-    raft::runtime::elastic_report rep;
+    raft::runtime::perf_snapshot report;
 
     raft::map m;
     auto p = m.link<raft::out>(
@@ -519,9 +528,11 @@ TEST( elastic_pipeline, load_drop_retires_replicas )
                        raft::kernel::make<raft::write_each<i64>>(
                            std::back_inserter( out ) ) );
 
-    auto o               = elastic_opts( 4 );
-    o.elastic.report_out = &rep;
+    auto o      = elastic_opts( 4 );
+    o.stats_out = &report;
     m.exe( o );
+    ASSERT_TRUE( report.elastic );
+    const auto &rep = *report.elastic;
 
     ASSERT_EQ( out.size(), count );
     std::sort( out.begin(), out.end() );

@@ -332,7 +332,7 @@ TEST( fault, supervised_restart_recovers_thread_scheduler )
 {
     const std::size_t count = 50000;
     std::vector<i64> out;
-    raft::runtime::supervision_report rep;
+    raft::runtime::perf_snapshot report;
     raft::map m;
     auto *flaky = raft::kernel::make<flaky_relay>( 3 );
     flaky->set_restart_policy( raft::restart_policy::up_to( 5 ) );
@@ -341,10 +341,12 @@ TEST( fault, supervised_restart_recovers_thread_scheduler )
                          std::back_inserter( out ) ) );
     raft::run_options o;
     o.supervision.enabled    = true;
-    o.supervision.report_out = &rep;
+    o.stats_out              = &report;
     /** keep the test fast: milliseconds-scale backoff curve **/
     m.exe( o );
     EXPECT_EQ( out.size(), count );
+    ASSERT_TRUE( report.supervision );
+    const auto &rep = *report.supervision;
     const auto *k = rep.find( "flaky" );
     ASSERT_NE( k, nullptr );
     EXPECT_EQ( k->restarts, 3u );
@@ -359,7 +361,7 @@ TEST( fault, supervised_restart_recovers_pool_scheduler )
 {
     const std::size_t count = 50000;
     std::vector<i64> out;
-    raft::runtime::supervision_report rep;
+    raft::runtime::perf_snapshot report;
     raft::map m;
     auto *flaky = raft::kernel::make<flaky_relay>( 2 );
     flaky->set_restart_policy( raft::restart_policy::up_to( 4 ) );
@@ -369,9 +371,11 @@ TEST( fault, supervised_restart_recovers_pool_scheduler )
     raft::run_options o;
     o.scheduler              = raft::scheduler_kind::pool;
     o.supervision.enabled    = true;
-    o.supervision.report_out = &rep;
+    o.stats_out              = &report;
     m.exe( o );
     EXPECT_EQ( out.size(), count );
+    ASSERT_TRUE( report.supervision );
+    const auto &rep = *report.supervision;
     const auto *k = rep.find( "flaky" );
     ASSERT_NE( k, nullptr );
     EXPECT_EQ( k->restarts, 2u );
@@ -380,7 +384,7 @@ TEST( fault, supervised_restart_recovers_pool_scheduler )
 
 TEST( fault, restart_policy_exhaustion_is_terminal )
 {
-    raft::runtime::supervision_report rep;
+    raft::runtime::perf_snapshot report;
     std::vector<i64> out;
     raft::map m;
     auto *bad = raft::kernel::make<thrower>( 0 ); /** always throws **/
@@ -393,8 +397,10 @@ TEST( fault, restart_policy_exhaustion_is_terminal )
                          std::back_inserter( out ) ) );
     raft::run_options o;
     o.supervision.enabled    = true;
-    o.supervision.report_out = &rep;
+    o.stats_out              = &report;
     EXPECT_THROW( m.exe( o ), raft::graph_error );
+    ASSERT_TRUE( report.supervision );
+    const auto &rep = *report.supervision;
     const auto *k = rep.find( "thrower" );
     ASSERT_NE( k, nullptr );
     EXPECT_EQ( k->restarts, 2u );
@@ -426,7 +432,7 @@ TEST( fault, default_restart_policy_applies_to_unmarked_kernels )
 
 TEST( fault, watchdog_aborts_stalled_graph )
 {
-    raft::runtime::supervision_report rep;
+    raft::runtime::perf_snapshot report;
     std::vector<i64> out;
     raft::map m;
     m.link( raft::kernel::make<stalled_source>(),
@@ -435,7 +441,7 @@ TEST( fault, watchdog_aborts_stalled_graph )
     raft::run_options o;
     o.supervision.enabled           = true;
     o.supervision.watchdog_deadline = 100ms;
-    o.supervision.report_out        = &rep;
+    o.stats_out                     = &report;
     try
     {
         m.exe( o );
@@ -447,6 +453,8 @@ TEST( fault, watchdog_aborts_stalled_graph )
         EXPECT_NE( e.failures()[ 0 ].kernel_name.find( "watchdog" ),
                    std::string::npos );
     }
+    ASSERT_TRUE( report.supervision );
+    const auto &rep = *report.supervision;
     EXPECT_GE( rep.watchdog_stalls, 1u );
     /** the stall dump names the starved stream with its counters **/
     EXPECT_NE( rep.last_stall_diagnostics.find( "stalled" ),
@@ -458,7 +466,7 @@ TEST( fault, watchdog_aborts_stalled_graph )
 TEST( fault, watchdog_quiet_on_healthy_graph )
 {
     const std::size_t count = 100000;
-    raft::runtime::supervision_report rep;
+    raft::runtime::perf_snapshot report;
     std::vector<i64> out;
     raft::map m;
     auto kp = m.link( seq_source( count ),
@@ -468,9 +476,11 @@ TEST( fault, watchdog_quiet_on_healthy_graph )
     raft::run_options o;
     o.supervision.enabled           = true;
     o.supervision.watchdog_deadline = 10s;
-    o.supervision.report_out        = &rep;
+    o.stats_out                     = &report;
     m.exe( o );
     EXPECT_EQ( out.size(), count );
+    ASSERT_TRUE( report.supervision );
+    const auto &rep = *report.supervision;
     EXPECT_EQ( rep.watchdog_stalls, 0u );
     EXPECT_EQ( rep.total_restarts, 0u );
 }

@@ -6,7 +6,8 @@
  * (scrape → parse → match against live registry state), and the
  * end-to-end acceptance runs: a live scrape during map::exe() and a
  * fault-injected elastic run whose exported trace shows the supervisor
- * restart and the replica activations.
+ * restart and the replica activations. The run_report suite checks the
+ * one report that exe() returns through stats_out and its sections.
  */
 #include <gtest/gtest.h>
 
@@ -615,7 +616,7 @@ TEST( telemetry_e2e, live_scrape_during_run_sees_kernel_and_stream_series )
     std::vector<i64> out;
     std::atomic<std::uint16_t> port{ 0 };
     std::uint16_t bound = 0;
-    tele::telemetry_report report;
+    raft::runtime::perf_snapshot snap;
 
     std::string body;
     std::thread scraper( [ & ]() {
@@ -659,12 +660,13 @@ TEST( telemetry_e2e, live_scrape_during_run_sees_kernel_and_stream_series )
     o.telemetry.enabled          = true;
     o.telemetry.serve_prometheus = true;
     o.telemetry.bound_port_out   = &bound;
-    o.telemetry.report_out       = &report;
+    o.stats_out                  = &snap;
     m.exe( o );
     scraper.join();
 
     EXPECT_EQ( out.size(), count );
-    EXPECT_EQ( report.prometheus_port, bound );
+    ASSERT_TRUE( snap.telemetry );
+    const auto &report = *snap.telemetry;
     EXPECT_GT( report.trace_events_recorded, 0u );
     ASSERT_FALSE( body.empty() );
     /** per-kernel service accounting and per-stream occupancy series
@@ -694,7 +696,7 @@ TEST( telemetry_e2e, fault_injected_elastic_trace_has_restart_and_activation )
     const std::string trace_path = "telemetry_e2e_trace.json";
     const std::size_t count      = 1500;
     std::vector<i64> out;
-    tele::telemetry_report report;
+    raft::runtime::perf_snapshot snap;
 
     raft::map m;
     auto *flaky = raft::kernel::make<flaky_relay>( 2 );
@@ -718,10 +720,12 @@ TEST( telemetry_e2e, fault_injected_elastic_trace_has_restart_and_activation )
     o.supervision.enabled      = true;
     o.telemetry.enabled        = true;
     o.telemetry.trace_out      = trace_path;
-    o.telemetry.report_out     = &report;
+    o.stats_out                = &snap;
     m.exe( o );
 
     EXPECT_EQ( out.size(), count );
+    ASSERT_TRUE( snap.telemetry );
+    const auto &report = *snap.telemetry;
     EXPECT_GT( report.trace_events_recorded, 0u );
 
     std::ifstream f( trace_path );
@@ -738,6 +742,167 @@ TEST( telemetry_e2e, fault_injected_elastic_trace_has_restart_and_activation )
     EXPECT_NE( json.find( "replica_activate" ), std::string::npos );
     /** kernel lifecycle spans made it out too **/
     EXPECT_NE( json.find( "\"ph\": \"X\"" ), std::string::npos );
+}
+
+/* ------------------------------------------------------------------ */
+/* the run report: one perf_snapshot through stats_out                  */
+/* ------------------------------------------------------------------ */
+
+TEST( run_report, every_enabled_subsystem_fills_its_section )
+{
+    const std::size_t count = 1500;
+    std::vector<i64> out;
+    raft::runtime::perf_snapshot snap;
+
+    raft::map m;
+    auto *flaky = raft::kernel::make<flaky_relay>( 2 );
+    flaky->set_restart_policy( raft::restart_policy::up_to( 5 ) );
+    auto kp  = m.link<raft::out>( seq_source( count ),
+                                  raft::kernel::make<sleepy_worker>(
+                                      300us ) );
+    auto kp2 = m.link<raft::out>( &kp.dst, flaky );
+    m.link<raft::out>( &kp2.dst,
+                       raft::kernel::make<raft::write_each<i64>>(
+                           std::back_inserter( out ) ) );
+
+    raft::run_options o;
+    o.elastic.enabled        = true;
+    o.elastic.max_replicas   = 4;
+    o.elastic.control_period = 2ms;
+    o.elastic.hysteresis     = 2;
+    o.supervision.enabled    = true;
+    o.telemetry.enabled      = true;
+    o.stats_out              = &snap;
+    m.exe( o );
+
+    EXPECT_EQ( out.size(), count );
+    EXPECT_FALSE( snap.streams.empty() );
+    /** only the sleepy worker is clonable: one replica group **/
+    ASSERT_TRUE( snap.elastic );
+    ASSERT_EQ( snap.elastic->groups.size(), 1u );
+    EXPECT_NE( snap.elastic->find( "sleepy" ), nullptr );
+    EXPECT_EQ( snap.elastic->groups[ 0 ].max_active, 4u );
+    EXPECT_GT( snap.elastic->control_ticks, 0u );
+    /** two transient throws, each restarted in place **/
+    ASSERT_TRUE( snap.supervision );
+    const auto *k = snap.supervision->find( "flaky" );
+    ASSERT_NE( k, nullptr );
+    EXPECT_EQ( k->restarts, 2u );
+    EXPECT_FALSE( k->terminal );
+    EXPECT_EQ( snap.supervision->total_restarts, 2u );
+    EXPECT_EQ( snap.supervision->terminal_failures, 0u );
+    ASSERT_TRUE( snap.telemetry );
+    EXPECT_GT( snap.telemetry->trace_events_recorded, 0u );
+
+    const auto json = snap.to_json();
+    EXPECT_TRUE( json_checker::valid( json ) ) << json;
+    for( const char *key : { "\"elastic\":", "\"supervision\":",
+                             "\"telemetry\":", "\"streams\":" } )
+    {
+        EXPECT_NE( json.find( key ), std::string::npos ) << key;
+    }
+    std::ostringstream os;
+    os << snap;
+    for( const char *line : { "\nelastic: ", "\nsupervision: 2 restarts",
+                              "\ntelemetry: " } )
+    {
+        EXPECT_NE( os.str().find( line ), std::string::npos ) << os.str();
+    }
+}
+
+TEST( run_report, plain_run_leaves_every_section_empty )
+{
+    const std::size_t count = 5000;
+    std::vector<i64> out;
+    raft::runtime::perf_snapshot snap;
+    /** a report reused from an earlier run loses its old sections **/
+    snap.elastic     = raft::runtime::elastic_report{};
+    snap.supervision = raft::runtime::supervision_report{};
+    snap.telemetry   = raft::runtime::trace_report{};
+
+    raft::map m;
+    auto kp = m.link( seq_source( count ),
+                      raft::kernel::make<sleepy_worker>( 0us ) );
+    m.link( &kp.dst, raft::kernel::make<raft::write_each<i64>>(
+                         std::back_inserter( out ) ) );
+    raft::run_options o;
+    o.stats_out = &snap;
+    m.exe( o );
+
+    EXPECT_EQ( out.size(), count );
+    EXPECT_EQ( snap.streams.size(), 2u );
+    EXPECT_FALSE( snap.elastic );
+    EXPECT_FALSE( snap.supervision );
+    EXPECT_FALSE( snap.telemetry );
+}
+
+TEST( run_report, to_json_names_each_present_section_and_no_absent_one )
+{
+    const char *const keys[] = { "\"elastic\":", "\"supervision\":",
+                                 "\"telemetry\":" };
+    for( unsigned mask = 0; mask < 8; ++mask )
+    {
+        raft::runtime::perf_snapshot snap;
+        raft::runtime::stream_stats st;
+        st.src_kernel = "src";
+        st.dst_kernel = "dst";
+        snap.streams.push_back( st );
+        if( mask & 1u )
+        {
+            snap.elastic = raft::runtime::elastic_report{};
+            raft::runtime::elastic_group_report g;
+            g.kernel_name = "work\"er";
+            snap.elastic->groups.push_back( g );
+        }
+        if( mask & 2u )
+        {
+            snap.supervision = raft::runtime::supervision_report{};
+            snap.supervision->last_stall_diagnostics = "line 1\nline 2";
+            raft::runtime::kernel_supervision_report k;
+            k.kernel_name = "flaky";
+            k.terminal    = true;
+            k.last_error  = "bad \\ input";
+            snap.supervision->kernels.push_back( k );
+        }
+        if( mask & 4u )
+        {
+            snap.telemetry = raft::runtime::trace_report{ 5, 1, 2 };
+        }
+        const auto json = snap.to_json();
+        EXPECT_TRUE( json_checker::valid( json ) ) << json;
+        for( unsigned i = 0; i < 3; ++i )
+        {
+            EXPECT_EQ( json.find( keys[ i ] ) != std::string::npos,
+                       ( mask & ( 1u << i ) ) != 0 )
+                << "mask " << mask << ": " << json;
+        }
+    }
+}
+
+TEST( run_report, graph_error_still_fills_supervision )
+{
+    std::vector<i64> out;
+    raft::runtime::perf_snapshot snap;
+    raft::map m;
+    /** no restart policy: the first throw is terminal **/
+    auto kp = m.link( seq_source( 1000 ),
+                      raft::kernel::make<flaky_relay>( 1000000 ) );
+    m.link( &kp.dst, raft::kernel::make<raft::write_each<i64>>(
+                         std::back_inserter( out ) ) );
+    raft::run_options o;
+    o.supervision.enabled = true;
+    o.stats_out           = &snap;
+    EXPECT_THROW( m.exe( o ), raft::graph_error );
+
+    EXPECT_EQ( snap.streams.size(), 2u );
+    ASSERT_TRUE( snap.supervision );
+    const auto *k = snap.supervision->find( "flaky" );
+    ASSERT_NE( k, nullptr );
+    EXPECT_TRUE( k->terminal );
+    EXPECT_EQ( k->restarts, 0u );
+    EXPECT_EQ( snap.supervision->terminal_failures, 1u );
+    EXPECT_FALSE( snap.elastic );
+    EXPECT_FALSE( snap.telemetry );
 }
 
 TEST( telemetry_e2e, injected_fault_counter_and_trace_event )
