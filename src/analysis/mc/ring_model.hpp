@@ -530,7 +530,7 @@ private:
             waiters_.fetch_and( ~self, std::memory_order_relaxed );
             return;
         }
-        /** std::atomic::wait: wakes only on a change of seq */
+        /** the ring's futex wait loop: returns only on a change of seq */
         retry_guard g;
         while( seq.load( std::memory_order_acquire ) == s )
         {

@@ -14,6 +14,13 @@
 #define RAFT_HAVE_MEMBARRIER 1
 #endif
 
+#if defined( __linux__ ) && __has_include( <linux/futex.h> )
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#define RAFT_HAVE_FUTEX 1
+#endif
+
 namespace raft::detail {
 
 std::string demangle( const std::type_info &ti )
@@ -74,6 +81,41 @@ bool heavy_barrier() noexcept
 bool heavy_barrier_available() noexcept { return false; }
 
 bool heavy_barrier() noexcept { return false; }
+
+#endif
+
+/** the kernel reads the word as a plain 32-bit integer **/
+static_assert( sizeof( std::atomic<std::uint32_t> ) == 4 &&
+                   std::atomic<std::uint32_t>::is_always_lock_free,
+               "a futex word must be a lock-free 4-byte atomic" );
+
+#if defined( RAFT_HAVE_FUTEX )
+
+void futex_wait( std::atomic<std::uint32_t> &word,
+                 const std::uint32_t expected ) noexcept
+{
+    ::syscall( SYS_futex, static_cast<void *>( &word ),
+               FUTEX_WAIT_PRIVATE, expected, nullptr, nullptr, 0 );
+}
+
+void futex_wake_one( std::atomic<std::uint32_t> &word ) noexcept
+{
+    ::syscall( SYS_futex, static_cast<void *>( &word ),
+               FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0 );
+}
+
+#else
+
+void futex_wait( std::atomic<std::uint32_t> &word,
+                 const std::uint32_t expected ) noexcept
+{
+    word.wait( expected, std::memory_order_acquire );
+}
+
+void futex_wake_one( std::atomic<std::uint32_t> &word ) noexcept
+{
+    word.notify_one();
+}
 
 #endif
 

@@ -145,6 +145,23 @@ bool heavy_barrier() noexcept;
 void seq_cst_fence() noexcept;
 ///@}
 
+/**
+ * @name bare futex park
+ * Park a thread on a 32-bit atomic word and wake it, with one syscall
+ * each (Linux FUTEX_WAIT_PRIVATE / FUTEX_WAKE_PRIVATE). std::atomic::wait
+ * would add libstdc++'s pre-spin (12 pauses, then 4 sched_yield calls)
+ * to a park whose caller has already spun. futex_wait() sleeps only while
+ * `word` still holds `expected`, and may return early (a signal, a stale
+ * value): callers loop on their own condition. Elsewhere these fall back
+ * to std::atomic::wait and notify_one.
+ */
+///@{
+void futex_wait( std::atomic<std::uint32_t> &word,
+                 std::uint32_t expected ) noexcept;
+/** Wake one thread parked on `word`. */
+void futex_wake_one( std::atomic<std::uint32_t> &word ) noexcept;
+///@}
+
 /** Smallest power of two >= v (v == 0 yields 1). */
 constexpr std::size_t pow2_ceil( std::size_t v ) noexcept
 {

@@ -27,9 +27,7 @@
  * completion. A held claim (peek(), peek_range(), a window, an RAII
  * accessor) holds its end's handshake, so the monitor cannot resize storage
  * out from under a borrowed reference; unpeek() or the RAII destructor
- * releases it. The TCP link of the distributed substrate wraps a
- * ring_buffer with pump threads (net/tcp_link.hpp), so kernels observe
- * identical semantics either way.
+ * releases it.
  */
 #pragma once
 
@@ -53,6 +51,15 @@ template <class T> class read_window_t;
 namespace detail {
 class doorbell;
 } /** end namespace detail **/
+
+/** One queue end's park census: how often a blocked end, its spins
+ *  spent, issued the park barrier, and how many of those parks went on to
+ *  a futex wait (the rest found the peer ready in the re-check). */
+struct park_counts
+{
+    std::uint64_t barriers{ 0 };
+    std::uint64_t waits{ 0 };
+};
 
 /**
  * Type-erased FIFO interface. The runtime never needs to know the element
@@ -160,6 +167,10 @@ public:
     /** Monotonic lifetime counters (survive resizes). */
     virtual std::uint64_t total_pushed() const noexcept = 0;
     virtual std::uint64_t total_popped() const noexcept = 0;
+    /** Park census of the writer and reader ends (relaxed counters,
+     *  bumped only on the park path). */
+    virtual park_counts write_parks() const noexcept = 0;
+    virtual park_counts read_parks() const noexcept  = 0;
     ///@}
 
     /** @name raw arithmetic access (conversion adapters)

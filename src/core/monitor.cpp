@@ -34,8 +34,7 @@ void monitor::start()
     {
         return;
     }
-    if( !opts_.dynamic_resize && opts_.stats_out == nullptr &&
-        elastic_ == nullptr && supervisor_ == nullptr )
+    if( !opts_.dynamic_resize && !samples_read() )
     {
         running_.store( false );
         return; /** nothing to do — zero overhead **/
@@ -64,10 +63,14 @@ void monitor::loop()
     }
     /** the elastic controller's windows need δ-resolution samples **/
     const bool every_delta = elastic_ != nullptr;
-    const auto idle_cap = std::max<std::int64_t>( delta_ns_, idle_cap_ns );
+    /** unread samples need no idle tick: both resize rules ring the
+     *  doorbell when they may fire, so sleep until then **/
+    const auto idle_cap = std::max<std::int64_t>(
+        delta_ns_, samples_read() ? idle_cap_ns : backstop_ns );
     /** idle deadlines advance by idle_cap from each other, not from the
      *  late wake-up, and a late tick is caught up at once: sleep
-     *  overshoot does not lower the idle rate **/
+     *  overshoot does not lower the idle rate. An early wake-up (a ring)
+     *  keeps the deadline, so no sleep exceeds idle_cap **/
     auto due = detail::now_ns();
     for( ;; )
     {
@@ -86,10 +89,13 @@ void monitor::loop()
             continue;
         }
         const auto now = detail::now_ns();
-        due += idle_cap;
-        if( due < now - idle_cap )
+        if( due <= now )
         {
-            due = now; /** a period or more behind: restart the schedule **/
+            due += idle_cap;
+            if( due < now - idle_cap )
+            {
+                due = now; /** a period or more behind: restart **/
+            }
         }
         if( due > now )
         {
@@ -102,6 +108,13 @@ void monitor::loop()
     }
     /** final sample so short runs still record statistics **/
     tick();
+}
+
+bool monitor::samples_read() const noexcept
+{
+    return opts_.stats_out != nullptr || elastic_ != nullptr ||
+           supervisor_ != nullptr ||
+           ( opts_.dynamic_resize && opts_.allow_shrink );
 }
 
 bool monitor::tick()
@@ -221,6 +234,12 @@ void monitor::collect( runtime::perf_snapshot &out, const double wall ) const
         s.initial_capacity = e.initial_capacity;
         s.final_capacity   = e.f->capacity();
         s.resize_count     = e.f->resize_count();
+        const auto wp      = e.f->write_parks();
+        const auto rp      = e.f->read_parks();
+        s.write_park_barriers = wp.barriers;
+        s.write_park_waits    = wp.waits;
+        s.read_park_barriers  = rp.barriers;
+        s.read_park_waits     = rp.waits;
         const auto &sm     = e.sample;
         s.samples          = sm.ticks;
         if( sm.ticks > 0 )

@@ -22,11 +22,15 @@
  * writer is blocked on a queue that may still grow, or a reader's resize
  * request is pending — or while an elastic controller is attached (its
  * control windows need δ-resolution samples). Otherwise it sleeps on its
- * doorbell for max(δ, 1 ms). A registered queue rings the doorbell when
- * its writer starts to block or its reader posts a request, so the 3δ rule
- * still measures from the blocked-since stamp. Streams are sampled about
- * every max(δ, 1 ms) when idle, which also bounds how late the watchdog
- * notices a stall.
+ * doorbell. A registered queue rings the doorbell when its writer starts
+ * to block or its reader posts a request, so the 3δ rule still measures
+ * from the blocked-since stamp. How long an idle sleep may last depends
+ * on whether anything reads the samples (collect() through stats_out,
+ * the elastic controller, the supervisor's watchdog, the allow_shrink
+ * streak): if so, max(δ, 1 ms), so idle streams are sampled at about
+ * 1 kHz and the watchdog notices a stall within about a millisecond; if
+ * not, the tick serves the resize rules alone, which ring the doorbell
+ * when they may fire, and the sleep is capped only by a 100 ms backstop.
  */
 #pragma once
 
@@ -102,14 +106,16 @@ public:
 
     /** Attach the supervisor's watchdog before start(); its on_tick()
      *  runs at the end of every monitor tick (same lifetime contract as
-     *  the elastic controller). It does not change the cadence. */
+     *  the elastic controller). Like stats_out, it keeps idle streams
+     *  sampled at about 1 kHz. */
     void attach_supervisor( runtime::supervisor *sup ) noexcept
     {
         supervisor_ = sup;
     }
 
     /** Start the thread only if something acts on or reads the samples:
-     *  dynamic_resize, stats_out, or a hook. */
+     *  dynamic_resize, stats_out, or a hook. Without a sample reader it
+     *  ticks only when a resize rule may fire (see the file header). */
     void start();
     void stop();
 
@@ -129,14 +135,20 @@ public:
 
 private:
     void loop();
+    /** Does anything read the samples (see the file header)? */
+    bool samples_read() const noexcept;
 
     run_options opts_;
     std::vector<entry> entries_;
     std::thread thread_;
     std::atomic<bool> running_{ false };
     std::atomic<std::uint64_t> ticks_{ 0 };
-    /** the longest idle sleep: streams are sampled at about 1 kHz **/
+    /** the longest idle sleep while samples are read: streams are
+     *  sampled at about 1 kHz **/
     static constexpr std::int64_t idle_cap_ns = 1'000'000;
+    /** the longest idle sleep while they are not: the doorbell wakes
+     *  the monitor, so this only bounds the cost of a lost ring **/
+    static constexpr std::int64_t backstop_ns = 100'000'000;
     std::int64_t delta_ns_{ 10'000 };
     /** rung by registered queues and by stop() **/
     detail::doorbell bell_;

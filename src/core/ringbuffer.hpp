@@ -3,8 +3,7 @@
  * with cooperative dynamic resizing.
  *
  * This is the default allocation behind every stream (§4.2: heap-allocated
- * memory; POSIX shared memory and TCP links share the semantics — the TCP
- * link in net/ wraps one of these per endpoint).
+ * memory).
  *
  * Fast path: one cache-line-padded monotonic counter per queue end, a
  * relaxed gate check, release/acquire publication — no locks, no CAS loops.
@@ -94,27 +93,31 @@
  * in all, so a spinning end reads the peer's index 7 times, not 64.
  * After the 64th pause a retry wants one slot or min_n elements again,
  * which is what the end then parks for: it parks on its own 32-bit
- * sequence word with std::atomic::wait. Waking it is a second Dekker
- * pair, made asymmetric the same way: the parking side is already slow,
- * so it pays the barrier, and the publishing side, which runs on every
- * operation, pays one relaxed load.
+ * sequence word with a bare futex (detail::futex_wait; std::atomic::wait
+ * off Linux), so the park adds no spin or yield of its own to the 64
+ * pauses already spent. Waking it is a second Dekker pair, made
+ * asymmetric the same way: the parking side is already slow, so it pays
+ * the barrier, and the publishing side, which runs on every operation,
+ * pays one relaxed load.
  *
  *   parker:  s = seq.load(acquire);
  *            waiters.fetch_or(my_bit);
  *            detail::heavy_barrier();                 (membarrier)
  *            if (peer published / closed / aborted) { clear my_bit; retry }
- *            seq.wait(s);
+ *            while (seq.load(acquire) == s) futex_wait(seq, s);
  *   waker:   head/tail.store(..., release);
  *            atomic_signal_fence(seq_cst);            (compiler only)
  *            if (waiters.load(relaxed) & peer_bit)
- *                { clear peer_bit; ++peer_seq; peer_seq.notify_one(); }
+ *                { clear peer_bit; ++peer_seq; futex_wake_one(peer_seq); }
  *
  * The heavy barrier splits the waker's instruction stream: if its
  * waiters load lies before that point, its index store is visible to the
  * parker's re-check; if after, the load sees the parker's bit. Loading
  * the sequence word before raising the bit means a wake-up that lands
- * between the re-check and the wait changes the word, so wait() returns
- * at once. Without membarrier both sides use seq_cst fences instead, as
+ * between the re-check and the wait changes the word, so the kernel's
+ * FUTEX_WAIT finds a value other than s and returns at once. Each end
+ * counts its barriers and its waits (write_parks(), read_parks()) on this
+ * path only. Without membarrier both sides use seq_cst fences instead, as
  * the resize handshake does. abort(), close_write(), close_read() and a
  * completed resize() wake the affected ends unconditionally: those events
  * change what a parked end waits for without a publication. The model in
@@ -358,6 +361,16 @@ public:
     std::size_t resize_count() const noexcept override
     {
         return resize_count_.load( std::memory_order_relaxed );
+    }
+
+    park_counts write_parks() const noexcept override
+    {
+        return census( prod_ );
+    }
+
+    park_counts read_parks() const noexcept override
+    {
+        return census( cons_ );
     }
 
     void set_auto_resize( const bool enabled ) noexcept override
@@ -711,7 +724,8 @@ private:
 
     /** One queue end's private state, on its own cache line: written by
      *  the owning thread on every operation, read by the monitor only
-     *  (op in resize, blocked_since once per tick). The plain fields are
+     *  (op in resize, blocked_since once per tick, the park census after
+     *  the run). The plain fields are
      *  thread-private, ordered by the gate protocol when resize() touches
      *  them. */
     struct alignas( cacheline_size ) end_state
@@ -721,7 +735,17 @@ private:
         int depth{ 0 };                 /**< claim nesting depth */
         std::uint64_t cached{ 0 };      /**< shadow of the opposite index */
         std::atomic<std::int64_t> blocked_since{ 0 };
+        /** the park census (park_counts), written only by this end **/
+        std::atomic<std::uint64_t> park_barriers{ 0 };
+        std::atomic<std::uint64_t> park_waits{ 0 };
     };
+
+    static park_counts census( const end_state &e ) noexcept
+    {
+        return park_counts{
+            e.park_barriers.load( std::memory_order_relaxed ),
+            e.park_waits.load( std::memory_order_relaxed ) };
+    }
 
     static T *allocate_storage( const std::size_t cap )
     {
@@ -1194,20 +1218,20 @@ private:
     }
 
     /** Wake the parked ends named by `ends`, whether or not they are
-     *  parked: bump their sequence words so that a wait() about to start
-     *  returns at once. */
+     *  parked: bump their sequence words so that a futex wait about to
+     *  start returns at once. */
     void wake( const std::uint32_t ends ) noexcept
     {
         waiters_.fetch_and( ~ends, std::memory_order_relaxed );
         if( ( ends & prod_bit ) != 0 )
         {
             prod_seq_.fetch_add( 1, std::memory_order_release );
-            prod_seq_.notify_one();
+            detail::futex_wake_one( prod_seq_ );
         }
         if( ( ends & cons_bit ) != 0 )
         {
             cons_seq_.fetch_add( 1, std::memory_order_release );
-            cons_seq_.notify_one();
+            detail::futex_wake_one( cons_seq_ );
         }
     }
 
@@ -1215,8 +1239,9 @@ private:
      *  below spin_limit, pause as many times as it counts (at least once)
      *  and add them to it, so the retries come after 1, 1, 2, 4 ... 32
      *  pauses; then park until a wake-up unless `ready()` (can the end
-     *  proceed?) holds after the barrier. Call outside enter()/leave(),
-     *  so that a parked end never holds up resize(). */
+     *  proceed?) holds after the barrier. The park census counts each
+     *  barrier and each wait entered. Call outside enter()/leave(), so
+     *  that a parked end never holds up resize(). */
     template <class Ready>
     void block( const std::uint32_t self, int &spins, Ready &&ready )
     {
@@ -1231,6 +1256,7 @@ private:
             return;
         }
         auto &seq    = self == prod_bit ? prod_seq_ : cons_seq_;
+        auto &e      = self == prod_bit ? prod_ : cons_;
         const auto s = seq.load( std::memory_order_acquire );
         waiters_.fetch_or( self, std::memory_order_seq_cst );
         if( !park_light_ )
@@ -1244,12 +1270,17 @@ private:
             std::this_thread::sleep_for( std::chrono::microseconds( 50 ) );
             return;
         }
+        e.park_barriers.fetch_add( 1, std::memory_order_relaxed );
         if( ready() )
         {
             waiters_.fetch_and( ~self, std::memory_order_relaxed );
             return;
         }
-        seq.wait( s, std::memory_order_acquire );
+        e.park_waits.fetch_add( 1, std::memory_order_relaxed );
+        while( seq.load( std::memory_order_acquire ) == s )
+        {
+            detail::futex_wait( seq, s );
+        }
     }
 
     ///@}

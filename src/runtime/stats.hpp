@@ -164,6 +164,13 @@ struct stream_stats
     std::size_t initial_capacity{ 0 };
     std::size_t final_capacity{ 0 };
     std::size_t resize_count{ 0 };
+    /** Park census of the ring's two ends (core/fifo.hpp park_counts):
+     *  barriers issued by a blocked end whose spins ran out, and futex
+     *  waits it then entered. */
+    std::uint64_t write_park_barriers{ 0 };
+    std::uint64_t write_park_waits{ 0 };
+    std::uint64_t read_park_barriers{ 0 };
+    std::uint64_t read_park_waits{ 0 };
 
     std::uint64_t samples{ 0 };
     double mean_occupancy{ 0.0 };      /**< items, averaged over samples   */
@@ -432,6 +439,10 @@ struct perf_snapshot
                << ", \"initial_capacity\": " << s.initial_capacity
                << ", \"final_capacity\": " << s.final_capacity
                << ", \"resize_count\": " << s.resize_count << ","
+               << "\n     \"write_park_barriers\": " << s.write_park_barriers
+               << ", \"write_park_waits\": " << s.write_park_waits
+               << ", \"read_park_barriers\": " << s.read_park_barriers
+               << ", \"read_park_waits\": " << s.read_park_waits << ","
                << "\n     \"samples\": " << s.samples
                << ", \"mean_occupancy\": " << s.mean_occupancy
                << ", \"mean_utilization\": " << s.mean_utilization
@@ -523,7 +534,10 @@ inline std::ostream &operator<<( std::ostream &os, const perf_snapshot &p )
            << s.dst_kernel << "[" << s.dst_port << "]: pushed " << s.pushed
            << ", popped " << s.popped << ", cap " << s.initial_capacity
            << "->" << s.final_capacity << " (" << s.resize_count
-           << " resizes), util mean " << s.mean_utilization << " p50 "
+           << " resizes), parks (waits/barriers) write "
+           << s.write_park_waits << "/" << s.write_park_barriers << " read "
+           << s.read_park_waits << "/" << s.read_park_barriers
+           << ", util mean " << s.mean_utilization << " p50 "
            << s.p50_utilization() << " p95 " << s.p95_utilization()
            << " p99 " << s.p99_utilization() << ", service "
            << s.service_rate_hz << " Hz\n";

@@ -365,6 +365,28 @@ TEST( split_strategy, least_utilized_picks_emptiest )
     EXPECT_EQ( lu.choose( outs ), 1u );
 }
 
+TEST( split_strategy, least_utilized_rotates_ties )
+{
+    /** every output empty, so every call is a tie: the strategy the
+     *  split adapter gets by default must visit each replica once in as
+     *  many calls, not settle on one (replica 0 would take every burst at
+     *  start-up, when all queues are empty) **/
+    auto lu = raft::make_split_strategy( raft::split_kind::least_utilized );
+    raft::ring_buffer<int> a( 4 ), b( 4 ), c( 4 ), d( 4 );
+    std::vector<raft::fifo_base *> outs{ &a, &b, &c, &d };
+    std::vector<int> picks( outs.size(), 0 );
+    for( std::size_t call = 0; call < outs.size(); ++call )
+    {
+        const auto i = lu->choose( outs );
+        ASSERT_LT( i, outs.size() );
+        ++picks[ i ];
+    }
+    for( std::size_t i = 0; i < outs.size(); ++i )
+    {
+        EXPECT_EQ( picks[ i ], 1 ) << "replica " << i;
+    }
+}
+
 TEST( split_strategy, least_utilized_caches_choice_for_stride )
 {
     raft::least_utilized_strategy lu( 4 );

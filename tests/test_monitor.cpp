@@ -242,9 +242,13 @@ TEST( monitor, disabled_resize_keeps_queue_fixed )
 
 TEST( monitor, background_thread_ticks )
 {
+    /** a sampled monitor (stats_out is read after the run) ticks about
+     *  once per ms while idle **/
+    raft::runtime::perf_snapshot snap;
     raft::run_options opts;
     opts.dynamic_resize = true;
     opts.monitor_delta  = 100us;
+    opts.stats_out      = &snap;
     raft::monitor mon( opts );
     raft::ring_buffer<int> q( 4 );
     mon.register_stream( &q, info( "a", "b" ) );
@@ -257,10 +261,11 @@ TEST( monitor, background_thread_ticks )
 TEST( monitor, idle_thread_ticks_at_most_once_per_ms )
 {
     /** nothing blocked, nothing requested: the thread sleeps on its
-     *  doorbell with a 1 ms cap instead of ticking every δ (10 µs). An
-     *  upper bound, so a loaded host cannot make it flaky. The second
-     *  input attaches a supervisor without a watchdog: an attached
-     *  supervisor must not keep the thread at δ cadence. **/
+     *  doorbell instead of ticking every δ (10 µs), with a 1 ms cap
+     *  while a supervisor reads the samples. An upper bound, so a loaded
+     *  host cannot make it flaky. The second input attaches a supervisor
+     *  without a watchdog: an attached supervisor must not keep the
+     *  thread at δ cadence. **/
     for( const bool supervised : { false, true } )
     {
         SCOPED_TRACE( supervised ? "supervised" : "plain" );
@@ -287,6 +292,24 @@ TEST( monitor, idle_thread_ticks_at_most_once_per_ms )
         EXPECT_LE( static_cast<double>( mon.ticks() ), ms + 2.0 );
         EXPECT_GE( mon.ticks(), 2u );
     }
+}
+
+TEST( monitor, unsampled_idle_thread_ticks_only_at_start_and_stop )
+{
+    /** dynamic resizing and no sample reader (no stats_out, no hook, no
+     *  allow_shrink): the tick serves only the resize rules, which ring
+     *  the doorbell, so an idle run ticks once at start and once at
+     *  stop. 50 ms is well below the 100 ms backstop. **/
+    raft::run_options opts;
+    opts.dynamic_resize = true;
+    raft::monitor mon( opts );
+    raft::ring_buffer<int> q( 4 );
+    mon.register_stream( &q, info( "a", "b" ) );
+    mon.start();
+    std::this_thread::sleep_for( 50ms );
+    mon.stop();
+    EXPECT_LE( mon.ticks(), 2u );
+    EXPECT_GE( mon.ticks(), 1u );
 }
 
 TEST( monitor, service_rate_is_the_estimators_busy_corrected_rate )

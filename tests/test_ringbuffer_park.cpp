@@ -3,9 +3,10 @@
  * "Blocking: spin for a batch, then park"): a bursty SPSC stress whose
  * idle gaps outlast the spin phase, the forced wake-ups (abort,
  * close_write, close_read) of a parked end, a woken writer's cleared
- * stall stamp, a parked writer that an idle monitor grows its ring for,
- * and the ends that a batch never comes for: one freed slot, a lone
- * element, a short batch before the close.
+ * stall stamp, an idle monitor that grows a ring for a parked writer or
+ * for a reader's overflow demand with nothing but its doorbell to wake
+ * it, the park census, and the ends that a batch never comes for: one
+ * freed slot, a lone element, a short batch before the close.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 
 #include <core/monitor.hpp>
 #include <core/ringbuffer.hpp>
+#include <runtime/stats.hpp>
 
 using namespace std::chrono_literals;
 using raft::ring_buffer;
@@ -226,9 +228,10 @@ TEST( ringbuffer_park, close_read_clears_writer_stall_stamp )
 
 TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
 {
-    /** the monitor sleeps on its doorbell while nothing is blocked; the
-     *  writer's stall rings it, the 3δ rule grows the ring, and the
-     *  completed resize wakes the parked writer **/
+    /** the monitor sleeps on its doorbell while nothing is blocked (no
+     *  sample reader: only the 100 ms backstop besides); the writer's
+     *  stall rings it, the 3δ rule grows the ring, and the completed
+     *  resize wakes the parked writer **/
     raft::run_options opts;
     opts.dynamic_resize = true;
     raft::monitor mon( opts );
@@ -252,6 +255,122 @@ TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
     EXPECT_TRUE( finished ) << "writer still blocked after 50 ms";
     EXPECT_GE( q.resize_count(), 1u );
     EXPECT_EQ( q.size(), 3u );
+}
+
+TEST( ringbuffer_park, idle_monitor_honours_overflow_demand )
+{
+    /** the read rule through the doorbell alone: an idle monitor with no
+     *  sample reader, a reader's peek_range(8) on a 4-slot ring, and a
+     *  writer that never blocks (it pushes only once the ring has grown),
+     *  so the reader's request is the only ring. 50 ms is well below the
+     *  100 ms backstop, so a lost ring fails here **/
+    raft::run_options opts;
+    opts.dynamic_resize = true;
+    raft::monitor mon( opts );
+    ring_buffer<std::uint64_t> q( 4 );
+    mon.register_stream( &q, raft::monitor::stream_info{
+                                 "a", "b", "0", "0", "u64" } );
+    for( std::uint64_t i = 0; i < 4; ++i )
+    {
+        q.push( i );
+    }
+    mon.start();
+    std::this_thread::sleep_for( 5ms ); /** monitor goes idle **/
+    std::uint64_t last  = 0;
+    const bool finished = finishes_within( q, 50ms, [ & ]() {
+        std::thread reader( [ & ]() {
+            try
+            {
+                auto w = q.peek_range( 8 );
+                last   = w[ 7 ];
+            }
+            catch( const raft::stream_aborted_exception & )
+            {
+            }
+        } );
+        while( q.capacity() < 8 && !q.aborted() )
+        {
+            std::this_thread::yield();
+        }
+        try
+        {
+            for( std::uint64_t i = 4; i < 8; ++i )
+            {
+                q.push( i );
+            }
+        }
+        catch( const raft::stream_aborted_exception & )
+        {
+        }
+        reader.join();
+    } );
+    const auto grown = q.capacity(); /** before stop()'s final tick **/
+    mon.stop();
+    EXPECT_TRUE( finished ) << "reader still waiting after 50 ms";
+    EXPECT_GE( grown, 8u );
+    EXPECT_EQ( last, 7u );
+}
+
+TEST( ringbuffer_park, census_counts_consumer_parks )
+{
+    /** n pushes 2 ms apart, far longer than the spin phase: the reader
+     *  parks before most of them. Each pop enters at most one wait (a
+     *  publication wakes it with the element there), and every wait
+     *  follows a barrier. The monitor's report carries the same counts **/
+    constexpr std::uint64_t n = 10;
+    ring_buffer<std::uint64_t> q( 64 );
+    raft::run_options opts;
+    opts.dynamic_resize = false;
+    raft::monitor mon( opts );
+    mon.register_stream( &q, raft::monitor::stream_info{
+                                 "a", "b", "0", "0", "u64" } );
+    std::uint64_t got   = 0;
+    const bool finished = finishes_within( q, 5s, [ & ]() {
+        std::thread writer( [ & ]() {
+            try
+            {
+                for( std::uint64_t i = 0; i < n; ++i )
+                {
+                    std::this_thread::sleep_for( 2ms );
+                    q.push( i );
+                }
+            }
+            catch( const raft::stream_aborted_exception & )
+            {
+            }
+        } );
+        try
+        {
+            for( std::uint64_t i = 0; i < n; ++i )
+            {
+                std::uint64_t v = 0;
+                q.pop( v );
+                got += v == i ? 1 : 0;
+            }
+        }
+        catch( const raft::stream_aborted_exception & )
+        {
+        }
+        writer.join();
+    } );
+    ASSERT_TRUE( finished ) << "reader still waiting after 5 s";
+    EXPECT_EQ( got, n );
+    const auto parks = q.read_parks();
+    EXPECT_GE( parks.waits, 1u );
+    EXPECT_LE( parks.waits, n );
+    EXPECT_LE( parks.waits, parks.barriers );
+    EXPECT_EQ( q.write_parks().waits, 0u ); /** 64 slots: never full **/
+
+    raft::runtime::perf_snapshot snap;
+    mon.collect( snap, 0.0 );
+    ASSERT_EQ( snap.streams.size(), 1u );
+    const auto &s = snap.streams.front();
+    EXPECT_EQ( s.read_park_waits, parks.waits );
+    EXPECT_EQ( s.read_park_barriers, parks.barriers );
+    EXPECT_EQ( s.write_park_waits, 0u );
+    EXPECT_NE( snap.to_json().find( "\"read_park_waits\": " +
+                                    std::to_string( parks.waits ) ),
+               std::string::npos );
 }
 
 TEST( ringbuffer_slip, one_freed_slot_releases_a_blocked_writer )
