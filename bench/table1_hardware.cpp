@@ -13,7 +13,7 @@
 
 #include <sys/utsname.h>
 
-#include "host_json.hpp"
+#include "ab.hpp"
 
 namespace {
 

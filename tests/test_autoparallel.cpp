@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -124,16 +126,24 @@ segments_per_replica( const raft::scheduler_kind sched,
     return popped;
 }
 
+/** Every one of the 6,144 segments reached one of the 4 replicas. */
+void expect_all_dealt( const std::vector<std::uint64_t> &popped )
+{
+    ASSERT_EQ( popped.size(), 4u );
+    EXPECT_EQ(
+        std::accumulate( popped.begin(), popped.end(), std::uint64_t{ 0 } ),
+        fine_segments.corpus_bytes / fine_segments.segment );
+}
+
 /** An even deal gives each of the 4 replicas a quarter. No replica may
  *  take more than half, and none may starve: each gets at least a
  *  quarter of its fair share. A split that breaks every tie toward
  *  replica 0 fed two replicas and left two with nothing. */
 void expect_spread( const std::vector<std::uint64_t> &popped )
 {
-    ASSERT_EQ( popped.size(), 4u );
+    expect_all_dealt( popped );
     const auto total =
         std::accumulate( popped.begin(), popped.end(), std::uint64_t{ 0 } );
-    EXPECT_EQ( total, fine_segments.corpus_bytes / fine_segments.segment );
     for( std::size_t i = 0; i < popped.size(); ++i )
     {
         EXPECT_LE( 2 * popped[ i ], total )
@@ -143,6 +153,91 @@ void expect_spread( const std::vector<std::uint64_t> &popped )
             << "replica " << i << " popped " << popped[ i ] << " of "
             << total << " segments";
     }
+}
+
+/**
+ * Deals the `fine_segments` input (6,144 descriptors that
+ * raft::filereader cuts from 24 MiB) through a least-utilized
+ * split_kernel to 4 rings of `capacity` slots, calling run() by hand.
+ * After each run() replica i pops up to `drain( i )` segments, so the
+ * deal follows the script alone and not how the OS schedules replica
+ * threads. Checks after every run() that the lanes that received
+ * segments held the least backlog before it, and returns how many
+ * segments each replica popped (its backlog included once input ends).
+ */
+template <class Drain>
+std::vector<std::uint64_t> scripted_deal( const std::size_t capacity,
+                                          Drain drain )
+{
+    using raft::mem_range;
+    const auto corpus = std::make_shared<const std::string>(
+        fine_segments.corpus_bytes, 'x' );
+    raft::ring_buffer<mem_range> in( fine_segments.corpus_bytes /
+                                         fine_segments.segment +
+                                     raft::filereader::batch );
+    raft::filereader reader( corpus, 0, fine_segments.segment );
+    reader.output[ "0" ].bind( &in );
+    while( reader.run() == raft::proceed )
+    {
+    }
+    in.close_write();
+
+    raft::split_kernel split(
+        raft::detail::type_meta::of<mem_range>(), 4,
+        raft::make_split_strategy( raft::split_kind::least_utilized ) );
+    split.input[ "0" ].bind( &in );
+    std::vector<std::unique_ptr<raft::ring_buffer<mem_range>>> lanes;
+    for( std::size_t i = 0; i < 4; ++i )
+    {
+        lanes.push_back(
+            std::make_unique<raft::ring_buffer<mem_range>>( capacity ) );
+        split.output[ std::to_string( i ) ].bind( lanes.back().get() );
+    }
+
+    std::vector<std::uint64_t> popped( 4, 0 );
+    std::vector<std::size_t> before( 4 );
+    std::size_t stale_runs = 0;
+    for( ;; )
+    {
+        for( std::size_t i = 0; i < 4; ++i )
+        {
+            before[ i ] = lanes[ i ]->size();
+        }
+        if( split.run() == raft::stop )
+        {
+            break;
+        }
+        std::size_t fed_max   = 0;
+        std::size_t unfed_min = SIZE_MAX;
+        for( std::size_t i = 0; i < 4; ++i )
+        {
+            if( lanes[ i ]->size() > before[ i ] )
+            {
+                fed_max = std::max( fed_max, before[ i ] );
+            }
+            else
+            {
+                unfed_min = std::min( unfed_min, before[ i ] );
+            }
+        }
+        stale_runs += fed_max > unfed_min ? 1 : 0;
+        for( std::size_t i = 0; i < 4; ++i )
+        {
+            mem_range seg;
+            for( auto n = drain( i );
+                 n > 0 && lanes[ i ]->try_pop( seg ); --n )
+            {
+                ++popped[ i ];
+            }
+        }
+    }
+    EXPECT_EQ( stale_runs, 0u )
+        << "runs that fed a lane while a lane with less backlog waited";
+    for( std::size_t i = 0; i < 4; ++i )
+    {
+        popped[ i ] += lanes[ i ]->size();
+    }
+    return popped;
 }
 
 /** Each of the two replicas gets at least a quarter of the segments. */
@@ -423,8 +518,40 @@ TEST( split_strategy, least_utilized_cached_choice_survives_lane_shrink )
 
 TEST( split_strategy, least_utilized_spreads_segments_on_threads )
 {
-    expect_spread( segments_per_replica(
+    /** 8 threads share the host's cores here, so each replica's share
+     *  follows OS scheduling; the share bounds are checked on scripted
+     *  drains (split_strategy.scripted_*) **/
+    expect_all_dealt( segments_per_replica(
         raft::scheduler_kind::thread_per_kernel, fine_segments ) );
+}
+
+TEST( split_strategy, scripted_ties_rotate )
+{
+    /** every replica empties its ring before the next run(), so each
+     *  burst is a four-way tie **/
+    expect_spread( scripted_deal(
+        1024, []( std::size_t ) { return SIZE_MAX; } ) );
+}
+
+TEST( split_strategy, scripted_backed_up_replica )
+{
+    /** replica 0 scans 8 segments per run() of the split, the others all
+     *  they hold: a burst that reaches replica 0 backs it up for 8 runs,
+     *  and only a fresh ranking per burst steers around it **/
+    expect_spread( scripted_deal( 1024, []( std::size_t lane ) {
+        return lane == 0 ? std::size_t{ 8 } : SIZE_MAX;
+    } ) );
+}
+
+TEST( split_strategy, scripted_fine_segments )
+{
+    /** the live graph's 64-slot rings; each replica scans 0 to 32
+     *  segments per run() of the split, drawn from a fixed-seed
+     *  minstd_rand: uneven service, as OS scheduling gives the replica
+     *  threads, but the same in every run **/
+    std::minstd_rand rng( 10 );
+    expect_spread( scripted_deal(
+        64, [ &rng ]( std::size_t ) { return std::size_t{ rng() % 33 }; } ) );
 }
 
 TEST( split_strategy, least_utilized_spreads_segments_on_the_pool )
