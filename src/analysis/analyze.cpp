@@ -1,6 +1,7 @@
 #include "analysis/analysis.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "core/map.hpp"
@@ -340,14 +341,17 @@ private:
     {
         auto it = std::find( path.begin(), path.end(), entry );
         std::string loop;
-        std::size_t length = 0;
+        std::size_t length    = 0;
+        std::size_t fixed_cap = 0;
         for( ; it != path.end(); ++it )
         {
             loop += topo_.kernels()[ *it ]->name() + " -> ";
             ++length;
+            const auto next = std::next( it ) == path.end() ? entry
+                                                           : *std::next( it );
+            fixed_cap += hop_capacity( *it, next );
         }
         loop += topo_.kernels()[ entry ]->name();
-        const auto fixed_cap = length * opts_.initial_queue_capacity;
         if( opts_.dynamic_resize )
         {
             const auto grown_cap = length * opts_.max_queue_capacity;
@@ -371,6 +375,25 @@ private:
                      "loop is full each kernel blocks pushing while no one "
                      "can pop, and dynamic resizing is disabled" );
         }
+    }
+
+    /** The initial capacity map::exe() gives the first stream from
+     *  kernels()[from] to kernels()[to]. */
+    std::size_t hop_capacity( const std::size_t from,
+                              const std::size_t to ) const
+    {
+        const kernel *src = topo_.kernels()[ from ];
+        const kernel *dst = topo_.kernels()[ to ];
+        for( const auto &e : topo_.edges() )
+        {
+            if( e.src == src && e.dst == dst )
+            {
+                return initial_stream_capacity(
+                    opts_, e.src->output[ e.src_port ].meta().size,
+                    dynamic_cast<const split_kernel *>( e.src ) != nullptr );
+            }
+        }
+        return 0;
     }
 
     /** incompatible-link-types / lossy-conversion: per-edge type audit.

@@ -256,8 +256,9 @@ void map::exe( const run_options &opts )
     {
         port &out_p = e.src->output[ e.src_port ];
         port &in_p  = e.dst->input[ e.dst_port ];
-        auto stream =
-            out_p.meta().make_fifo( opts.initial_queue_capacity );
+        auto stream = out_p.meta().make_fifo( initial_stream_capacity(
+            opts, out_p.meta().size,
+            dynamic_cast<split_kernel *>( e.src ) != nullptr ) );
         out_p.bind( stream.get() );
         in_p.bind( stream.get() );
         mon.register_stream(

@@ -127,7 +127,8 @@ struct run_options
 {
     /** @name stream allocation */
     ///@{
-    std::size_t initial_queue_capacity{ 64 };     /**< items              */
+    /** items; 0 = size by bytes, see initial_stream_capacity() */
+    std::size_t initial_queue_capacity{ 0 };
     std::size_t max_queue_capacity{ 1u << 20 };   /**< growth cap (items) */
     ///@}
 
@@ -185,5 +186,45 @@ struct run_options
     analysis_options analysis{};
     ///@}
 };
+
+/** Bytes a default-sized stream starts with: the low edge of the flat
+ *  64 KB–4 MB optimum of the paper's Fig. 4 (bench/fig4_queue_size). */
+inline constexpr std::size_t default_stream_bytes = 64 * 1024;
+/** Slots a default-sized stream starts with at least, and a split
+ *  adapter's lanes exactly. */
+inline constexpr std::size_t default_stream_slots = 64;
+
+/**
+ * The first capacity, in elements, of a stream whose elements are
+ * `element_size` bytes. map::exe() sizes every stream with it and
+ * raft::analyze sums it around a cycle.
+ *
+ * A non-zero initial_queue_capacity is used as given. Otherwise the stream
+ * gets the smallest power of two of at least default_stream_slots elements
+ * that holds default_stream_bytes, cut to the largest power of two within
+ * max_queue_capacity. A stream written by a split adapter keeps
+ * default_stream_slots: the least-utilized split ranks its lanes by
+ * backlog, so a deep lane would take segments before its replica's speed
+ * is known. The monitor grows every stream from here as before.
+ */
+inline std::size_t initial_stream_capacity( const run_options &opts,
+                                            const std::size_t element_size,
+                                            const bool split_writer )
+{
+    if( opts.initial_queue_capacity != 0 )
+    {
+        return opts.initial_queue_capacity;
+    }
+    std::size_t slots = default_stream_slots;
+    while( !split_writer && slots * element_size < default_stream_bytes )
+    {
+        slots <<= 1;
+    }
+    while( slots > 1 && slots > opts.max_queue_capacity )
+    {
+        slots >>= 1;
+    }
+    return slots;
+}
 
 } /** end namespace raft **/

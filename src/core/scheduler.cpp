@@ -23,8 +23,9 @@ namespace {
 
 using detail::now_ns;
 
-/** Per-kernel dispatch state for one execute() call. */
-struct slot
+/** Per-kernel dispatch state for one execute() call. One cache line
+ *  each: pool workers load every slot's state on every sweep. */
+struct alignas( cacheline_size ) slot
 {
     enum : int
     {
@@ -432,7 +433,8 @@ void thread_scheduler::execute( const std::vector<kernel *> &kernels,
 /* ------------------------------------------------------------------ */
 
 /**
- * Workers sweep the kernels, claim each idle one with a CAS and dispatch
+ * Workers sweep the kernels, claim each idle one with a CAS (skipped when
+ * a plain load already sees the slot claimed or done) and dispatch
  * it while ready() holds, up to dispatch_budget run() calls — a constant,
  * not an option: ready() (kernel.hpp) guarantees no run() in it blocks.
  * A kernel waiting out a restart deadline is skipped until then.
@@ -479,8 +481,11 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
         bool progressed = false;
         for( auto &s : ctx.slots )
         {
+            /** a plain load first: a CAS on a claimed slot would take its
+             *  line exclusive for nothing **/
             int expect = slot::idle;
-            if( !s.state.compare_exchange_strong(
+            if( s.state.load( std::memory_order_relaxed ) != slot::idle ||
+                !s.state.compare_exchange_strong(
                     expect, slot::running, std::memory_order_acq_rel ) )
             {
                 continue;

@@ -15,7 +15,8 @@ namespace raft
 
 /** run_options::telemetry — everything defaults OFF; with
  *  `enabled == false` no instrumentation site costs more than one
- *  relaxed atomic load (guarded by bench/ab_telemetry).  The tracer's
+ *  relaxed atomic load (bench/ab_overhead's `telemetry_off` row is the
+ *  noise floor of its `telemetry_metrics` row).  The tracer's
  *  accounting is the run report's `telemetry` section
  *  (run_options::stats_out). **/
 struct telemetry_options

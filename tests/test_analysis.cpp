@@ -95,6 +95,44 @@ TEST( analysis, deadlock_cycle_is_error_without_dynamic_resize )
     EXPECT_FALSE( rep.ok() );
 }
 
+TEST( analysis, deadlock_cycle_sums_each_fifos_initial_capacity )
+{
+    /** one loop of 4-byte streams, one of a 4-byte and an 8-byte stream **/
+    class wide_relay : public raft::kernel
+    {
+    public:
+        wide_relay()
+        {
+            input.addPort<int>( "in" );
+            output.addPort<std::int64_t>( "out" );
+        }
+        raft::kstatus run() override { return raft::stop; }
+    };
+    const auto cycle_message = []( raft::kernel *a, raft::kernel *b,
+                                   const raft::run_options &o ) {
+        raft::map m;
+        m.link( a, "out", b, "in" );
+        m.link( b, "out", a, "in" );
+        const auto rep = raft::analyze( m, o );
+        const auto *d  = find_diag( rep, "deadlock-cycle" );
+        return d == nullptr ? std::string() : d->message;
+    };
+    raft::run_options o;
+    o.dynamic_resize = false;
+    /** default-sized: 16,384 int slots and 8,192 int64 slots hold 64 KiB **/
+    auto msg = cycle_message( raft::kernel::make<relay>(),
+                              raft::kernel::make<relay>(), o );
+    EXPECT_NE( msg.find( "(32768 total slots)" ), std::string::npos ) << msg;
+    msg = cycle_message( raft::kernel::make<relay>(),
+                         raft::kernel::make<wide_relay>(), o );
+    EXPECT_NE( msg.find( "(24576 total slots)" ), std::string::npos ) << msg;
+    /** explicitly sized: every FIFO starts at the given count **/
+    o.initial_queue_capacity = 100;
+    msg = cycle_message( raft::kernel::make<relay>(),
+                         raft::kernel::make<wide_relay>(), o );
+    EXPECT_NE( msg.find( "(200 total slots)" ), std::string::npos ) << msg;
+}
+
 TEST( analysis, deadlock_cycle_downgrades_to_warning_with_resize )
 {
     raft::map m;

@@ -25,6 +25,56 @@ raft::generate<i64> *seq_source( const std::size_t n,
         } );
 }
 
+/** A 4 KiB element: 16 of them fill the 64 KiB budget, under the floor. */
+struct page
+{
+    char bytes[ 4096 ];
+};
+
+/** Pushes `n` value-initialised T, for element types generate<> cannot
+ *  make. */
+template <class T> class fill : public raft::kernel
+{
+public:
+    explicit fill( const std::size_t n ) : n_( n )
+    {
+        output.addPort<T>( "0" );
+    }
+    raft::kstatus run() override
+    {
+        if( n_ == 0 )
+        {
+            return raft::stop;
+        }
+        output[ "0" ].push<T>( T{} );
+        --n_;
+        return raft::proceed;
+    }
+
+private:
+    std::size_t n_;
+};
+
+/** Run fill<T> → write_each<T> over `count` elements and return the
+ *  report of its one stream. */
+template <class T>
+raft::runtime::stream_stats one_stream( raft::run_options opts,
+                                        const std::size_t count = 1000 )
+{
+    raft::runtime::perf_snapshot snap;
+    opts.stats_out = &snap;
+    std::vector<T> out;
+    raft::map m;
+    m.link( raft::kernel::make<fill<T>>( count ),
+            raft::kernel::make<raft::write_each<T>>(
+                std::back_inserter( out ) ) );
+    m.exe( opts );
+    EXPECT_EQ( out.size(), count );
+    EXPECT_EQ( snap.streams.size(), 1u );
+    return snap.streams.empty() ? raft::runtime::stream_stats{}
+                                : snap.streams.front();
+}
+
 } /** end anonymous namespace **/
 
 TEST( map, empty_map_throws )
@@ -237,4 +287,88 @@ TEST( map, graph_introspection_reflects_links )
     EXPECT_EQ( m.graph().kernels().size(), 2u );
     EXPECT_TRUE( m.graph().connected() );
     EXPECT_EQ( m.owned_kernel_count(), 2u );
+}
+
+TEST( map, default_stream_starts_at_64_kib )
+{
+    /** 8-byte elements: 8,192 slots hold 64 KiB **/
+    const auto s = one_stream<i64>( raft::run_options{} );
+    EXPECT_EQ( s.initial_capacity, 8192u );
+    EXPECT_EQ( raft::initial_stream_capacity( raft::run_options{}, 24,
+                                              false ),
+               4096u ); /** 2,731 slots rounded up to a power of two **/
+}
+
+TEST( map, default_stream_floor_is_64_slots )
+{
+    const auto s = one_stream<page>( raft::run_options{}, 100 );
+    EXPECT_EQ( s.element_size, sizeof( page ) );
+    EXPECT_EQ( s.initial_capacity, 64u );
+    EXPECT_EQ( raft::initial_stream_capacity( raft::run_options{},
+                                              1u << 20, false ),
+               64u );
+}
+
+TEST( map, split_lanes_start_at_64_slots )
+{
+    raft::runtime::perf_snapshot snap;
+    raft::run_options opts;
+    opts.stats_out            = &snap;
+    opts.enable_auto_parallel = true;
+    opts.replication_width    = 2;
+    const std::size_t count   = 5000;
+    std::vector<i64> out;
+    raft::map m;
+    auto p = m.link<raft::out>(
+        seq_source( count ),
+        raft::kernel::make<raft::transform<i64>>(
+            []( const i64 &v ) { return v + 1; } ) );
+    m.link<raft::out>( &( p.dst ),
+                       raft::kernel::make<raft::write_each<i64>>(
+                           std::back_inserter( out ) ) );
+    m.exe( opts );
+    ASSERT_EQ( out.size(), count );
+    std::size_t lanes = 0;
+    for( const auto &s : snap.streams )
+    {
+        if( s.src_kernel.find( "split" ) != std::string::npos )
+        {
+            EXPECT_EQ( s.initial_capacity, 64u ) << s.dst_kernel;
+            ++lanes;
+        }
+        else
+        {
+            /** the split's input, the lanes' outputs, the reduce's **/
+            EXPECT_EQ( s.initial_capacity, 8192u )
+                << s.src_kernel << " -> " << s.dst_kernel;
+        }
+    }
+    EXPECT_EQ( lanes, 2u );
+}
+
+TEST( map, explicit_initial_capacity_is_honoured )
+{
+    raft::run_options opts;
+    opts.initial_queue_capacity = 16;
+    EXPECT_EQ( one_stream<i64>( opts ).initial_capacity, 16u );
+    EXPECT_EQ( one_stream<page>( opts, 100 ).initial_capacity, 16u );
+    /** an explicit size is the caller's, even above the growth cap **/
+    opts.max_queue_capacity = 8;
+    EXPECT_EQ( raft::initial_stream_capacity( opts, 8, false ), 16u );
+    EXPECT_EQ( raft::initial_stream_capacity( opts, 8, true ), 16u );
+}
+
+TEST( map, default_stream_never_exceeds_max_capacity )
+{
+    raft::run_options opts;
+    opts.max_queue_capacity = 1024;
+    opts.dynamic_resize     = false;
+    EXPECT_EQ( one_stream<i64>( opts ).initial_capacity, 1024u );
+    /** not a power of two: the largest one within it **/
+    opts.max_queue_capacity = 1000;
+    EXPECT_EQ( one_stream<i64>( opts ).initial_capacity, 512u );
+    /** below the 64-slot floor, for a split lane too **/
+    opts.max_queue_capacity = 16;
+    EXPECT_EQ( one_stream<page>( opts, 100 ).initial_capacity, 16u );
+    EXPECT_EQ( raft::initial_stream_capacity( opts, 8, true ), 16u );
 }
