@@ -120,7 +120,8 @@ public:
     virtual bool resize( std::size_t new_capacity ) = 0;
     /** Reader overflow demand (peek_range larger than capacity); 0 if none. */
     virtual std::size_t resize_request() const noexcept = 0;
-    /** ns timestamp when the writer began blocking; 0 if not blocked. */
+    /** ns timestamp when the writer began blocking (its first miss), but
+     *  only while it is parked; 0 while it runs or only spins. */
     virtual std::int64_t write_blocked_since() const noexcept = 0;
     /** ns timestamp when the reader began blocking; 0 if not blocked. */
     virtual std::int64_t read_blocked_since() const noexcept = 0;
@@ -130,9 +131,9 @@ public:
      *  queue instead of throwing demand_exceeds_capacity_exception. */
     virtual void set_auto_resize( bool enabled ) noexcept = 0;
     virtual bool auto_resize() const noexcept             = 0;
-    /** Monitor registration: the queue rings `bell` when its writer starts
-     *  to block and when its reader posts a resize request — the two
-     *  events that let a monitor rule fire. nullptr detaches. */
+    /** Monitor registration: the queue rings `bell` when its writer parks
+     *  on a full queue and when its reader posts a resize request — the
+     *  two events that let a monitor rule fire. nullptr detaches. */
     virtual void set_doorbell( detail::doorbell *bell ) noexcept = 0;
     ///@}
 

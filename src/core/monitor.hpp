@@ -19,12 +19,15 @@
  * readers, never by the tick itself.
  *
  * Cadence: the thread ticks every δ only while a rule can fire — a
- * writer is blocked on a queue that may still grow, or a reader's resize
+ * writer is parked on a queue that may still grow, or a reader's resize
  * request is pending — or while an elastic controller is attached (its
  * control windows need δ-resolution samples). Otherwise it sleeps on its
- * doorbell. A registered queue rings the doorbell when its writer starts
- * to block or its reader posts a request, so the 3δ rule still measures
- * from the blocked-since stamp. How long an idle sleep may last depends
+ * doorbell. A registered queue rings the doorbell when its writer parks
+ * or its reader posts a request. The 3δ rule still measures from the
+ * writer's first miss: a blocked writer spins 64 pauses (a few µs, far
+ * below 3δ at the default δ) before it parks, so only a block that
+ * cannot reach 3δ goes unseen, and with a very small δ the rule fires at
+ * most one spin phase late. How long an idle sleep may last depends
  * on whether anything reads the samples (collect() through stats_out,
  * the elastic controller, the supervisor's watchdog, the allow_shrink
  * streak): if so, max(δ, 1 ms), so idle streams are sampled at about

@@ -99,8 +99,10 @@ struct supervision_options
      * the graph so blocked kernels wake with stream_aborted_exception
      * instead of hanging forever.
      * 0 disables the watchdog. It runs on the monitor's tick, which comes
-     * about once per max(monitor_delta, 1 ms) while no resize rule can
-     * fire, so a stall is noticed up to that much past the deadline.
+     * every monitor_delta while a writer is parked on a queue that may
+     * still grow (a writer that only spins does not count) or a resize
+     * request is pending, and about once per max(monitor_delta, 1 ms)
+     * otherwise, so a stall is noticed up to that much past the deadline.
      */
     ///@{
     std::chrono::nanoseconds watchdog_deadline{ 0 };

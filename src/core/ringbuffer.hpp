@@ -134,10 +134,12 @@
  * on every operation.
  *
  * Blocked-end bookkeeping feeds the monitor's two trigger rules:
- *   - write_blocked_since(): writer stalled on a full queue (3δ rule),
+ *   - write_blocked_since(): writer parked on a full queue (3δ rule),
  *   - resize_request(): reader demanded a window larger than capacity.
- * Both ring the monitor's doorbell when they start (set_doorbell), so a
- * monitor with nothing to do can sleep until a rule may fire.
+ * The writer rings the monitor's doorbell (set_doorbell) each time it
+ * enters the park path, the reader when it posts a request, so a monitor
+ * with nothing to do can sleep until a rule may fire. A writer that only
+ * spins (64 pauses, far below 3δ) neither rings nor counts as blocked.
  */
 #pragma once
 
@@ -348,9 +350,18 @@ public:
         return resize_request_.load( std::memory_order_seq_cst );
     }
 
+    /** The writer's stamp from its first miss, but only while its waiter
+     *  bit is raised (it parks, or naps where the barrier failed): a
+     *  writer still spinning is not blocked to the monitor. The bit's
+     *  seq_cst load pairs with the doorbell's arm() (see block()) and
+     *  acquires the stamp stored before the bit. */
     std::int64_t write_blocked_since() const noexcept override
     {
-        return prod_.blocked_since.load( std::memory_order_seq_cst );
+        if( ( waiters_.load( std::memory_order_seq_cst ) & prod_bit ) == 0 )
+        {
+            return 0;
+        }
+        return prod_.blocked_since.load( std::memory_order_relaxed );
     }
 
     std::int64_t read_blocked_since() const noexcept override
@@ -1130,34 +1141,29 @@ private:
     ///@}
 
     /** @name blocked-since stamps
-     * note_block loads before it CASes, so an end spinning on a full or
-     * empty queue only reads its stamp after the first miss. The writer's
-     * 0 → stamp transition rings the monitor's doorbell: the 3δ rule can
-     * now fire. A reader's cannot, so it does not ring. clear_block's
-     * load-then-conditional-store keeps the never-blocked hot path at a
-     * single relaxed load; the unblock transition (cold — the end just
-     * finished waiting) additionally closes the blocked tracer span when
-     * this stream is being traced.
+     * Only the owning end writes its stamp. note_block loads before it
+     * stores, so an end spinning on a full or empty queue only reads its
+     * stamp after the first miss. The stamp does not ring the monitor:
+     * the 3δ rule measures from it, but a writer spinning out one batch
+     * cannot reach 3δ, so the writer rings only when it parks (block()).
+     * clear_block's load-then-conditional-store keeps the never-blocked
+     * hot path at a single relaxed load; the unblock transition (cold —
+     * the end just finished waiting) additionally closes the blocked
+     * tracer span when this stream is being traced.
      */
     ///@{
-    void note_block( end_state &e ) noexcept
+    static void note_block( end_state &e ) noexcept
     {
         if( e.blocked_since.load( std::memory_order_relaxed ) == 0 )
         {
-            std::int64_t expected = 0;
-            if( e.blocked_since.compare_exchange_strong(
-                    expected, detail::now_ns(),
-                    std::memory_order_seq_cst ) &&
-                &e == &prod_ )
-            {
-                ring_doorbell();
-            }
+            e.blocked_since.store( detail::now_ns(),
+                                   std::memory_order_relaxed );
         }
     }
 
     /** Call after a seq_cst store of what the monitor scans for (the
-     *  writer's stamp, the reader's request): the doorbell's load then
-     *  pairs with the monitor's arm(). */
+     *  writer's waiter bit, the reader's request): the doorbell's load
+     *  then pairs with the monitor's arm(). */
     void ring_doorbell() noexcept
     {
         if( auto *bell = doorbell_.load( std::memory_order_acquire ) )
@@ -1240,8 +1246,11 @@ private:
      *  and add them to it, so the retries come after 1, 1, 2, 4 ... 32
      *  pauses; then park until a wake-up unless `ready()` (can the end
      *  proceed?) holds after the barrier. The park census counts each
-     *  barrier and each wait entered. Call outside enter()/leave(), so
-     *  that a parked end never holds up resize(). */
+     *  barrier and each wait entered. A writer rings the monitor's
+     *  doorbell before it waits or naps, after its waiter bit is raised:
+     *  write_blocked_since() reads that bit, so the ring and the
+     *  monitor's arm() form a Dekker pair. Call outside enter()/leave(),
+     *  so that a parked end never holds up resize(). */
     template <class Ready>
     void block( const std::uint32_t self, int &spins, Ready &&ready )
     {
@@ -1265,9 +1274,15 @@ private:
         }
         else if( !detail::heavy_barrier() )
         {
-            /** no barrier, no safe park: nap, then retry **/
-            waiters_.fetch_and( ~self, std::memory_order_relaxed );
+            /** no barrier, no safe park: nap, then retry. The bit stays
+             *  raised through the nap, so a napping writer counts as
+             *  parked; a peer that sees it only wastes a wake-up **/
+            if( self == prod_bit )
+            {
+                ring_doorbell();
+            }
             std::this_thread::sleep_for( std::chrono::microseconds( 50 ) );
+            waiters_.fetch_and( ~self, std::memory_order_relaxed );
             return;
         }
         e.park_barriers.fetch_add( 1, std::memory_order_relaxed );
@@ -1277,6 +1292,10 @@ private:
             return;
         }
         e.park_waits.fetch_add( 1, std::memory_order_relaxed );
+        if( self == prod_bit )
+        {
+            ring_doorbell();
+        }
         while( seq.load( std::memory_order_acquire ) == s )
         {
             detail::futex_wait( seq, s );

@@ -214,7 +214,10 @@ struct exec_context
     }
 
     /** Waker half of the park handshake (pool_scheduler::execute): a
-     *  compiler fence and one relaxed load while nobody sleeps. */
+     *  compiler fence and one relaxed load while nobody sleeps. One wake
+     *  is in flight at a time: a sleeper is signalled only when no worker
+     *  signalled before has resumed yet, since the one that resumes
+     *  sweeps every slot anyway. */
     void wake_sleeper()
     {
         if( light )
@@ -225,7 +228,9 @@ struct exec_context
         {
             detail::seq_cst_fence();
         }
-        if( sleepers.load( std::memory_order_relaxed ) != 0 )
+        if( sleepers.load( std::memory_order_relaxed ) != 0 &&
+            !wake_pending.load( std::memory_order_relaxed ) &&
+            !wake_pending.exchange( true, std::memory_order_relaxed ) )
         {
             wake( false );
         }
@@ -239,6 +244,8 @@ struct exec_context
     /** heavy barrier available: a waker's fence is compiler-only **/
     const bool light{ detail::heavy_barrier_available() };
     alignas( cacheline_size ) std::atomic<std::uint32_t> sleepers{ 0 };
+    /** a sleeper was signalled and no parker has resumed since **/
+    std::atomic<bool> wake_pending{ false };
     alignas( cacheline_size ) std::atomic<std::uint64_t> epoch{ 0 };
     std::mutex wake_mutex;
     std::condition_variable wake_cv;
@@ -457,7 +464,11 @@ void thread_scheduler::execute( const std::vector<kernel *> &kernels,
  * that sweep finds nothing either, wait for the epoch to move. The waker
  * half is every dispatch that made progress — all stream traffic on the
  * pool happens inside one: a compiler fence and a relaxed load of
- * `sleepers`, and one sleeper woken when it is non-zero. Without
+ * `sleepers`, and one sleeper woken when it is non-zero and no wake is
+ * in flight (`wake_pending`: set by the signal, cleared by any parker
+ * that leaves its park, woken or not). The woken worker sweeps every
+ * slot, and its own progress wakes the next sleeper, so a burst of
+ * dispatches signals once, not once each. Without
  * membarrier both halves use seq_cst fences. The last kernel to finish
  * and cancel() wake every sleeper. A wait ends by the earliest restart
  * deadline the sweep skipped, and after 1 ms at most, like the monitor's
@@ -579,6 +590,8 @@ void pool_scheduler::execute( const std::vector<kernel *> &kernels,
                                               next_retry ) );
                 }
                 ctx.sleepers.fetch_sub( 1, std::memory_order_relaxed );
+                /** resumed: the next progress may signal again **/
+                ctx.wake_pending.store( false, std::memory_order_relaxed );
             }
         }
     } );

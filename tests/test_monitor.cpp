@@ -1,7 +1,8 @@
 /**
  * The dynamic queue monitor (§3/§4): the 3δ write-block growth rule, the
  * reader-overflow growth rule, the shrink heuristic, statistics sampling
- * and the on-demand cadence. Tests drive monitor::tick() directly where
+ * and the on-demand cadence, also under a whole chain whose writer misses
+ * often but rarely parks. Tests drive monitor::tick() directly where
  * determinism matters, and run the real thread where timing is the
  * subject.
  */
@@ -11,6 +12,7 @@
 
 #include <core/monitor.hpp>
 #include <core/ringbuffer.hpp>
+#include <raft.hpp>
 #include <runtime/elastic/estimator.hpp>
 #include <runtime/supervisor.hpp>
 
@@ -22,6 +24,25 @@ raft::monitor::stream_info info( const char *src, const char *dst )
 {
     return raft::monitor::stream_info{ src, dst, "0", "0", "int" };
 }
+
+/** Sums and counts its u64 input. */
+class u64_sink final : public raft::kernel
+{
+public:
+    u64_sink() { input.addPort<std::uint64_t>( "0" ); }
+
+    raft::kstatus run() override
+    {
+        std::uint64_t v = 0;
+        input[ "0" ].pop<std::uint64_t>( v );
+        sum += v;
+        ++count;
+        return raft::proceed;
+    }
+
+    std::uint64_t sum{ 0 };
+    std::uint64_t count{ 0 };
+};
 
 } /** end anonymous namespace **/
 
@@ -310,6 +331,47 @@ TEST( monitor, unsampled_idle_thread_ticks_only_at_start_and_stop )
     mon.stop();
     EXPECT_LE( mon.ticks(), 2u );
     EXPECT_GE( mon.ticks(), 1u );
+}
+
+TEST( monitor, short_write_blocks_keep_idle_cadence )
+{
+    /** A generate → stage → sink chain on the thread scheduler: the
+     *  source outruns the stage, so its writer misses many times per ms,
+     *  but it waits out almost every miss within its spin phase (64
+     *  pauses, far below 3δ). Only a writer that parks may hold the
+     *  monitor at δ cadence; with stats_out read, the thread otherwise
+     *  ticks about once per ms. A monitor that took every miss for a
+     *  block ticks at some 4–21 kHz here, the least on a cold first run,
+     *  so the rate is taken over four runs. **/
+    constexpr std::uint64_t items = 1u << 18;
+    std::uint64_t ticks = 0;
+    double wall         = 0.0;
+    for( int run = 0; run < 4; ++run )
+    {
+        raft::runtime::perf_snapshot snap;
+        raft::run_options opts;
+        opts.stats_out = &snap;
+        raft::map m;
+        auto *sink = raft::kernel::make<u64_sink>();
+        auto p     = m.link(
+            raft::kernel::make<raft::generate<std::uint64_t>>(
+                items, []( std::size_t i ) { return std::uint64_t{ i }; } ),
+            raft::kernel::make<raft::lambdak<std::uint64_t>>(
+                1, 1, []( raft::Port &in, raft::Port &out ) {
+                    std::uint64_t v = 0;
+                    in[ "0" ].pop<std::uint64_t>( v );
+                    out[ "0" ].push<std::uint64_t>( v + 1 );
+                } ) );
+        m.link( &( p.dst ), sink );
+        m.exe( opts );
+        ASSERT_EQ( sink->count, items );
+        EXPECT_EQ( sink->sum, items * ( items + 1 ) / 2 );
+        ticks += snap.monitor_ticks;
+        wall += snap.wall_seconds;
+    }
+    ASSERT_GT( wall, 0.0 );
+    EXPECT_LT( static_cast<double>( ticks ) / wall, 5000.0 )
+        << ticks << " ticks in " << wall << " s";
 }
 
 TEST( monitor, service_rate_is_the_estimators_busy_corrected_rate )

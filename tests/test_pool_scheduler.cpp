@@ -308,6 +308,89 @@ TEST( pool_scheduler, idle_workers_sleep )
                                  << " s";
 }
 
+/** Three workers park while a gated trigger waits on a flag. Once it is
+ *  raised, the trigger feeds three independent chains at once, and each
+ *  chain's stage sleeps 20 ms in run(). Parked workers are signalled one
+ *  at a time, but all three must still run the stages at once: done
+ *  within 50 ms of the release, where one after another takes 60 ms. */
+TEST( pool_scheduler, chains_released_at_once_run_on_every_worker )
+{
+    static const char *const lanes[] = { "0", "1", "2" };
+    class trigger final : public raft::kernel
+    {
+    public:
+        explicit trigger( const std::atomic<bool> &go ) : go_( go )
+        {
+            for( const auto *l : lanes )
+            {
+                output.addPort<i64>( l );
+            }
+        }
+        bool ready() const override
+        {
+            return go_.load( std::memory_order_acquire ) &&
+                   raft::kernel::ready();
+        }
+        raft::kstatus run() override
+        {
+            for( const auto *l : lanes )
+            {
+                output[ l ].push<i64>( 1 );
+            }
+            return raft::stop;
+        }
+
+    private:
+        const std::atomic<bool> &go_;
+    };
+    class join final : public raft::kernel
+    {
+    public:
+        join()
+        {
+            for( const auto *l : lanes )
+            {
+                input.addPort<i64>( l );
+            }
+        }
+        raft::kstatus run() override
+        {
+            for( const auto *l : lanes )
+            {
+                got += *input[ l ].pop_s<i64>();
+            }
+            return raft::stop;
+        }
+        i64 got{ 0 };
+    };
+    std::atomic<bool> go{ false };
+    raft::map m;
+    auto *src  = raft::kernel::make<trigger>( go );
+    auto *sink = raft::kernel::make<join>();
+    for( const auto *l : lanes )
+    {
+        auto *stage = raft::kernel::make<raft::lambdak<i64>>(
+            1, 1, []( raft::Port &in, raft::Port &out ) {
+                const auto v = *in[ "0" ].pop_s<i64>();
+                std::this_thread::sleep_for( 20ms );
+                out[ "0" ].push<i64>( v );
+            } );
+        m.link( src, l, stage, "0" );
+        m.link( stage, "0", sink, l );
+    }
+    auto run = std::async( std::launch::async,
+                           [ & ]() { m.exe( pool_of( 3 ) ); } );
+    std::this_thread::sleep_for( 20ms ); /** every worker parks **/
+    const auto t0 = steady::now();
+    go.store( true, std::memory_order_release );
+    run.get();
+    const auto took = steady::now() - t0;
+    EXPECT_EQ( sink->got, 3 );
+    EXPECT_LT( took, 50ms )
+        << std::chrono::duration<double, std::milli>( took ).count()
+        << " ms";
+}
+
 /** A kernel throws while its peers are parked: cancel() wakes them, and
  *  exe() throws graph_error within 100 ms of the throw. */
 TEST( pool_scheduler, cancellation_reaches_parked_workers )

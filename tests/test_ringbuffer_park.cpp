@@ -3,8 +3,9 @@
  * "Blocking: spin for a batch, then park"): a bursty SPSC stress whose
  * idle gaps outlast the spin phase, the forced wake-ups (abort,
  * close_write, close_read) of a parked end, a woken writer's cleared
- * stall stamp, an idle monitor that grows a ring for a parked writer or
- * for a reader's overflow demand with nothing but its doorbell to wake
+ * stall stamp, an idle monitor that grows a ring for a parked writer (at
+ * the default δ and at a δ long enough that the writer parks through 3δ)
+ * or for a reader's overflow demand with nothing but its doorbell to wake
  * it, the park census, and the ends that a batch never comes for: one
  * freed slot, a lone element, a short batch before the close.
  */
@@ -64,7 +65,8 @@ bool woke_within( std::future<void> &blocked,
     return ok;
 }
 
-/** Wait until the end has noted its stall, then until it has parked. */
+/** Wait until the end's stall shows (a writer's only once it parks),
+ *  then until it has surely parked. */
 template <class Since> void until_parked( Since blocked_since )
 {
     while( blocked_since() == 0 )
@@ -230,7 +232,7 @@ TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
 {
     /** the monitor sleeps on its doorbell while nothing is blocked (no
      *  sample reader: only the 100 ms backstop besides); the writer's
-     *  stall rings it, the 3δ rule grows the ring, and the completed
+     *  park rings it, the 3δ rule grows the ring, and the completed
      *  resize wakes the parked writer **/
     raft::run_options opts;
     opts.dynamic_resize = true;
@@ -255,6 +257,43 @@ TEST( ringbuffer_park, idle_monitor_grows_ring_for_parked_writer )
     EXPECT_TRUE( finished ) << "writer still blocked after 50 ms";
     EXPECT_GE( q.resize_count(), 1u );
     EXPECT_EQ( q.size(), 3u );
+}
+
+TEST( ringbuffer_park, unsampled_monitor_grows_ring_for_parked_writer )
+{
+    /** No sample reader, so the idle monitor waits on its doorbell with
+     *  only the 100 ms backstop besides, and δ = 1 ms, so the writer
+     *  spends 3δ parked, not spinning. The park must ring the doorbell
+     *  and keep the monitor at δ cadence until the 3δ rule doubles the
+     *  ring. 50 ms is well below the backstop: a park that does not ring
+     *  fails here **/
+    raft::run_options opts;
+    opts.dynamic_resize = true;
+    opts.monitor_delta  = 1ms;
+    raft::monitor mon( opts );
+    ring_buffer<std::uint64_t> q( 4 );
+    mon.register_stream( &q, raft::monitor::stream_info{
+                                 "a", "b", "0", "0", "u64" } );
+    for( std::uint64_t i = 0; i < 4; ++i )
+    {
+        q.push( i );
+    }
+    mon.start();
+    std::this_thread::sleep_for( 5ms ); /** monitor goes idle **/
+    const bool finished = finishes_within( q, 50ms, [ & ]() {
+        try
+        {
+            q.push( 4 );
+        }
+        catch( const raft::stream_aborted_exception & )
+        {
+        }
+    } );
+    const auto grown = q.capacity(); /** before stop()'s final tick **/
+    mon.stop();
+    EXPECT_TRUE( finished ) << "writer still parked after 50 ms";
+    EXPECT_EQ( grown, 8u );
+    EXPECT_EQ( q.size(), 5u );
 }
 
 TEST( ringbuffer_park, idle_monitor_honours_overflow_demand )
